@@ -46,13 +46,14 @@
 //     (see README "Read path" and BENCH_reads.json);
 //   - checkpointed log compaction and O(state) state transfer
 //     (WithCompaction, WithShardCompaction, CompactionOptions,
-//     CompactionMetrics): the KV serializes applied state + cursor into
-//     interval checkpoints, the log truncates the decided prefix once every
-//     process acks a frontier (ack-timeout so a dead replica cannot block
-//     it) and recycles the freed slots — sustained writes never see
-//     ErrLogFull — while rejoining laggards heal from a checkpoint + decided
-//     suffix instead of replaying history (see README "Compaction & state
-//     transfer" and BENCH_compaction.json);
+//     CompactionMetrics): every interval the log announces a checkpoint
+//     frontier (no state is serialized), truncates the decided prefix once
+//     every process acks a frontier (ack-timeout so a dead replica cannot
+//     block it) and recycles the freed slots — sustained writes never see
+//     ErrLogFull — while rejoining laggards heal from a snapshot-install,
+//     the donor's applied state + cursor serialized on demand plus its
+//     decided suffix, instead of replaying history (see README "Compaction
+//     & state transfer" and BENCH_compaction.json);
 //   - the sharded KV surface (OpenSharded, ShardedStore, ShardedKV,
 //     ShardRing): the keyspace consistent-hashed (virtual nodes,
 //     deterministic seed) across N independent quorum-system groups, each a

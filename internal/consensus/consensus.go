@@ -271,12 +271,18 @@ func (c *Consensus) activate() {
 // on1B decodes a 1B message (leader side). A direct 1B means the sender's
 // instance is active, so the local one activates too (a virgin leader
 // instance would otherwise drop the 1B as impossibly far ahead of view 0).
+// A decided instance answers with the decision without decoding the body.
 func (c *Consensus) on1B(from failure.Proc, m wire.Message) {
-	var b msg1B
-	if wire.Decode(m, &b) != nil {
+	if c.stopped {
 		return
 	}
-	if c.stopped {
+	if c.decided {
+		c.activate()
+		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
+		return
+	}
+	var b msg1B
+	if wire.Decode(m, &b) != nil {
 		return
 	}
 	c.activate()
@@ -405,20 +411,22 @@ func (c *Consensus) tryPropose() {
 	c.ph = phasePropose
 }
 
-// on2A implements acceptance (Figure 6, lines 17-22).
+// on2A implements acceptance (Figure 6, lines 17-22). A decided instance
+// answers with the decision without decoding the body.
 func (c *Consensus) on2A(from failure.Proc, m wire.Message) {
+	if c.stopped {
+		return
+	}
+	if c.decided {
+		c.activate()
+		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
+		return
+	}
 	var a msg2A
 	if wire.Decode(m, &a) != nil {
 		return
 	}
-	if c.stopped {
-		return
-	}
 	c.activate()
-	if c.decided {
-		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
-		return
-	}
 	if a.View != c.view {
 		return
 	}
@@ -432,20 +440,24 @@ func (c *Consensus) on2A(from failure.Proc, m wire.Message) {
 	c.ph = phaseAccept
 }
 
-// on2B implements the decision rule (Figure 6, lines 23-26).
+// on2B implements the decision rule (Figure 6, lines 23-26). A decided
+// instance answers with the decision without decoding the body: after a
+// decision the remaining 2Bs of the round, each carrying the whole value,
+// are pure redundancy.
 func (c *Consensus) on2B(from failure.Proc, m wire.Message) {
+	if c.stopped {
+		return
+	}
+	if c.decided {
+		c.activate()
+		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
+		return
+	}
 	var b msg2B
 	if wire.Decode(m, &b) != nil {
 		return
 	}
-	if c.stopped {
-		return
-	}
 	c.activate()
-	if c.decided {
-		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
-		return
-	}
 	if b.View != c.view {
 		return
 	}
@@ -471,13 +483,15 @@ func (c *Consensus) on2B(from failure.Proc, m wire.Message) {
 	c.decide(b.Val, true)
 }
 
-// onDec adopts a decision learned from a peer that already decided.
+// onDec adopts a decision learned from a peer that already decided. Every
+// decided process re-announces (see below), so most announcements reach an
+// instance that has already decided; those are dropped undecoded.
 func (c *Consensus) onDec(from failure.Proc, m wire.Message) {
-	var d msgDec
-	if wire.Decode(m, &d) != nil {
+	if c.stopped || c.decided {
 		return
 	}
-	if c.stopped || c.decided {
+	var d msgDec
+	if wire.Decode(m, &d) != nil {
 		return
 	}
 	c.activate()

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -80,6 +81,11 @@ type Register struct {
 	id  int
 	acc qaf.Accessor
 	sm  *stateMachine
+	// lastNum is the highest version number this endpoint has assigned to
+	// a write. Concurrent writes at one process can read the same quorum
+	// maximum; drawing each number past lastNum keeps the versions they
+	// pick distinct (see nextVersion).
+	lastNum atomic.Uint64
 }
 
 // Options configures a register endpoint.
@@ -161,8 +167,7 @@ func (r *Register) Write(ctx context.Context, val string) (Version, error) {
 		return Version{}, err
 	}
 	// Lines 4-5: t = (k+1, i) with k the largest version number seen.
-	top := maxVersion(states)
-	t := Version{Num: top.Ver.Num + 1, Proc: r.id}
+	t := r.nextVersion(maxVersion(states).Ver.Num)
 	update, err := json.Marshal(State{Val: val, Ver: t})
 	if err != nil {
 		return Version{}, fmt.Errorf("encode write update: %w", err)
@@ -172,6 +177,21 @@ func (r *Register) Write(ctx context.Context, val string) (Version, error) {
 		return Version{}, fmt.Errorf("write set phase: %w", err)
 	}
 	return t, nil
+}
+
+// nextVersion picks the version of a write whose Get phase saw version
+// number seen at most: (max(seen, lastNum)+1, i). It exceeds every version
+// the write read, as Figure 4's line 5 requires, and it is unique at this
+// process even when concurrent writes saw the same maximum — the paper's
+// (k+1, i) assumes one write at a time per process.
+func (r *Register) nextVersion(seen uint64) Version {
+	for {
+		last := r.lastNum.Load()
+		n := max(seen, last) + 1
+		if r.lastNum.CompareAndSwap(last, n) {
+			return Version{Num: n, Proc: r.id}
+		}
+	}
 }
 
 // Read implements read() (Figure 4, lines 8-13): collect states from a read

@@ -313,6 +313,60 @@ func TestMWMRConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestConcurrentWritesAtOneProcessGetDistinctVersions routes many
+// concurrent writes through a single endpoint: their Get phases can all
+// observe the same maximum version, and without per-process serialization
+// of version numbers two of them would be acknowledged at one version with
+// different values. Every write must get its own version, and a later read
+// must return the value written at the highest one.
+func TestConcurrentWritesAtOneProcessGetDistinctVersions(t *testing.T) {
+	qs := quorum.Figure1()
+	c := newRegCluster(t, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
+	defer c.stop()
+
+	ctx := ctxSec(t, 60)
+	const writers = 48
+	var wg sync.WaitGroup
+	vers := make([]Version, writers)
+	start := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			v, err := c.regs[0].Write(ctx, fmt.Sprintf("w%d", w))
+			if err != nil {
+				t.Errorf("write %d: %v", w, err)
+				return
+			}
+			vers[w] = v
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	byVer := map[Version]int{}
+	top := 0
+	for w, v := range vers {
+		if prev, dup := byVer[v]; dup {
+			t.Fatalf("writes %d and %d both acknowledged at version %v", prev, w, v)
+		}
+		byVer[v] = w
+		if vers[top].Less(v) {
+			top = w
+		}
+	}
+	got, rv, err := c.regs[1].Read(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rv != vers[top] || got != fmt.Sprintf("w%d", top) {
+		t.Fatalf("read %q at %v, want w%d at %v", got, rv, top, vers[top])
+	}
+}
+
 func TestRegisterMetrics(t *testing.T) {
 	qs := quorum.Figure1()
 	c := newRegCluster(t, 4, Options{Reads: qs.Reads, Writes: qs.Writes})

@@ -74,11 +74,13 @@ func (o CompactionOptions) withDefaults() CompactionOptions {
 
 // Snapshotter serializes and restores the derived state a layer above the
 // log maintains through OnCommit. Both methods run on the node's event
-// loop: Snapshot in the same loop step as the fold that reached frontier
-// (so it sees exactly the decided prefix [0, frontier)), Restore when a
-// snapshot-install replaces this process's state. NewKV installs the KV's
-// own snapshotter; a plain compacting Log without one checkpoints frontiers
-// only, and its installs carry no state.
+// loop. Snapshot is called only when a snapshot-install is sent to a
+// lagging peer, with frontier equal to the log's applied frontier at that
+// moment, so the state it sees is exactly the decided prefix
+// [0, frontier); a checkpoint records and announces its frontier without
+// serializing anything. Restore runs when a snapshot-install replaces this
+// process's state. NewKV installs the KV's own snapshotter; a plain
+// compacting Log without one ships installs that carry no state.
 type Snapshotter interface {
 	Snapshot(frontier int64) (string, error)
 	Restore(state string, frontier int64) error
@@ -120,15 +122,15 @@ func (l *Log) CompactionMetrics() CompactionMetrics {
 func (kv *KV) CompactionMetrics() CompactionMetrics { return kv.log.CompactionMetrics() }
 
 // smrCkpt announces a process's checkpoint frontier: every slot below
-// Frontier is folded into its latest checkpoint. It doubles as the
+// Frontier is folded into its applied state. It doubles as the
 // truncation ack — the prefix below the lowest announced frontier is
 // retired everywhere.
 type smrCkpt struct {
 	Frontier int64 `json:"f"`
 }
 
-// smrSnap installs a checkpoint at a lagging peer: the serialized state at
-// Frontier plus the sender's decided suffix at and above it.
+// smrSnap installs a snapshot at a lagging peer: the sender's serialized
+// applied state at Frontier plus its decided suffix at and above it.
 type smrSnap struct {
 	Frontier int64         `json:"f"`
 	State    string        `json:"s,omitempty"`
@@ -266,26 +268,17 @@ func (l *Log) noteOccupancy() {
 	}
 }
 
-// checkpoint serializes the derived state at the current decided prefix,
-// announces the new frontier, extends the proposal window past it, and
-// arms the ack-timeout fallback. Runs on the node loop in the same step as
-// the fold that crossed the cadence, so the snapshot sees exactly the
-// decided prefix [0, next).
+// checkpoint records the current decided prefix as this process's
+// checkpoint frontier, announces it, extends the proposal window past it,
+// and arms the ack-timeout fallback. No state is serialized here: the
+// applied state always covers the frontier (it only moves forward), and
+// sendInstall serializes it on demand. Runs on the node loop.
 func (l *Log) checkpoint() {
 	f := l.next
 	if f <= l.lastCkpt {
 		return
 	}
-	var state string
-	if l.snapshotter != nil {
-		s, err := l.snapshotter.Snapshot(f)
-		if err != nil {
-			return // retried at the next cadence crossing
-		}
-		state = s
-	}
 	l.lastCkpt = f
-	l.ckptState = state
 	l.ckptCount.Add(1)
 	if f > l.ackFrontier[l.n.ID()] {
 		l.ackFrontier[l.n.ID()] = f
@@ -352,8 +345,8 @@ func (l *Log) scheduleAckTimeout(f int64) {
 // truncateTo frees slots below t: stops and unregisters their consensus
 // instances, drops their decided values and waiters, and advances the live
 // base. t never exceeds this process's own checkpoint frontier or decided
-// prefix, so everything freed is covered by the retained checkpoint. Runs
-// on the node loop.
+// prefix, so everything freed is already folded into the applied state.
+// Runs on the node loop.
 func (l *Log) truncateTo(t int64) {
 	if t > l.lastCkpt {
 		t = l.lastCkpt
@@ -382,32 +375,43 @@ func (l *Log) truncateTo(t int64) {
 	l.slotsFreed.Add(uint64(n))
 }
 
-// sendInstall ships the latest checkpoint plus the decided suffix to a peer
-// still running slots below the live base. Throttled to one install per
-// peer per view — a lagging peer re-announces its stale ranges every view
-// until the install lands. Runs on the node loop.
+// sendInstall ships the live applied state at this process's applied
+// frontier next, plus the decided suffix at and above it, to a peer still
+// running slots below the live base. The state covers exactly [0, next),
+// and next is at or above lastCkpt, so the install covers every slot this
+// process has truncated. Throttled to one install per peer per view — a
+// lagging peer re-announces its stale ranges every view until the install
+// lands. A snapshotter that refuses (a corrupt KV) donates no install.
+// Runs on the node loop.
 func (l *Log) sendInstall(to failure.Proc, view int64) {
 	if l.lastCkpt <= 0 || l.installView[to] >= view {
 		return
 	}
+	var state string
+	if l.snapshotter != nil {
+		s, err := l.snapshotter.Snapshot(l.next)
+		if err != nil {
+			return
+		}
+		state = s
+	}
 	l.installView[to] = view
 	decs := make([]smrDecEntry, 0, len(l.decided))
 	for s, v := range l.decided {
-		if s >= l.lastCkpt {
+		if s >= l.next {
 			decs = append(decs, smrDecEntry{Slot: s, Val: v})
 		}
 	}
-	l.n.Send(to, l.topicSnap, smrSnap{Frontier: l.lastCkpt, State: l.ckptState, Decs: decs})
+	l.n.Send(to, l.topicSnap, smrSnap{Frontier: l.next, State: state, Decs: decs})
 	l.installsSent.Add(1)
 }
 
-// onSnap adopts a snapshot-install: restore the checkpointed state, jump
-// the decided prefix to its frontier, adopt the checkpoint as our own (we
-// can answer later installs with it, and announcing the frontier unblocks
-// peers' truncation), truncate our own retired prefix, and learn the
-// decided suffix. Append completions gated on the skipped prefix are
-// released — the installed checkpoint covers every slot they were gated
-// on. Runs on the node loop.
+// onSnap adopts a snapshot-install: restore the installed state, jump the
+// decided prefix to its frontier, adopt the frontier as our own checkpoint
+// (announcing it unblocks peers' truncation), truncate our own retired
+// prefix, and learn the decided suffix. Append completions gated on the
+// skipped prefix are released — the installed state covers every slot
+// they were gated on. Runs on the node loop.
 func (l *Log) onSnap(from failure.Proc, m wire.Message) {
 	var s smrSnap
 	if wire.Decode(m, &s) != nil || l.stopped {
@@ -428,7 +432,6 @@ func (l *Log) onSnap(from failure.Proc, m wire.Message) {
 			l.frontier = s.Frontier - 1
 		}
 		l.lastCkpt = s.Frontier
-		l.ckptState = s.State
 		if s.Frontier > l.ackFrontier[l.n.ID()] {
 			l.ackFrontier[l.n.ID()] = s.Frontier
 		}

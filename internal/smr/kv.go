@@ -102,16 +102,19 @@ func (kv *KV) applySlot(slot int64, v string) {
 	}
 }
 
-// Snapshot serializes the applied state for a checkpoint at frontier
-// (smr.Snapshotter). It runs on the node loop in the same step as the fold
-// that reached the frontier, so the map is exactly the decided prefix
-// [0, frontier) and the synchronous pooled encoder can read it in place.
-// The newest Meta entry rides along: a process restored from this
-// checkpoint replays it, so control state carried through the log's total
-// order — a lease grant gating writers — survives compaction (see Restore).
+// Snapshot serializes the applied state for a snapshot-install at frontier
+// (smr.Snapshotter). It runs on the node loop with frontier equal to the
+// apply cursor, so the map is exactly the decided prefix [0, frontier) and
+// the synchronous pooled encoder can read it in place. The newest Meta
+// entry rides along: a process restored from this checkpoint replays it,
+// so control state carried through the log's total order — a lease grant
+// gating writers — survives compaction (see Restore).
 func (kv *KV) Snapshot(frontier int64) (string, error) {
 	if kv.corrupt != nil {
 		return "", fmt.Errorf("refusing to checkpoint corrupt state: %w", kv.corrupt)
+	}
+	if frontier != kv.cursor {
+		return "", fmt.Errorf("checkpoint frontier %d is not the apply cursor %d", frontier, kv.cursor)
 	}
 	return wire.EncodeCheckpoint(wire.Checkpoint{
 		Frontier: frontier,

@@ -25,12 +25,12 @@
 // — so the paper's safety argument carries over unchanged. Leader leases
 // (internal/lease) serve leased local reads off the applied state, and
 // checkpointed compaction (Options.Compaction, compact.go) removes the
-// lifetime write budget: the KV periodically serializes its applied state
-// into a checkpoint, the slot window slides forward once every live peer
-// has announced a covering checkpoint (a lagging or dead peer is timed out
-// and later healed by a snapshot-install carrying checkpoint plus decided
-// suffix), and freed slots are recycled — ErrLogFull no longer applies to
-// sustained workloads.
+// lifetime write budget: each process periodically announces a checkpoint
+// frontier, the slot window slides forward once every live peer has
+// announced a covering checkpoint (a lagging or dead peer is timed out and
+// later healed by a snapshot-install carrying the donor's applied state
+// plus decided suffix), and freed slots are recycled — ErrLogFull no
+// longer applies to sustained workloads.
 package smr
 
 import (
@@ -105,9 +105,9 @@ type Options struct {
 	// log must agree on it.
 	Compaction CompactionOptions
 	// Snapshotter serializes and restores the derived state OnCommit folds,
-	// for checkpoints and snapshot-installs. Owned by the KV's apply loop
-	// under NewKV and must be left unset there; a plain compacting Log
-	// without one checkpoints frontiers only (installs carry no state).
+	// for snapshot-installs (checkpoints serialize nothing). Owned by the
+	// KV's apply loop under NewKV and must be left unset there; a plain
+	// compacting Log without one sends installs that carry no state.
 	Snapshotter Snapshotter
 }
 
@@ -134,8 +134,8 @@ type Log struct {
 	// slots holds the live window's consensus instances: slots[i] is
 	// logical slot base+i. Without compaction the window is fixed at
 	// [0, Slots); with it, extension appends and truncation drops from the
-	// front. Loop-confined after New (Stop reads it only after the loop has
-	// observed stopped).
+	// front. Loop-confined, New included (Stop reads it only after the loop
+	// has observed stopped).
 	slots []*consensus.Consensus
 	sync  *viewsync.Synchronizer
 
@@ -213,13 +213,12 @@ type Log struct {
 	// activates (see onSlotActive).
 	idle1Bs map[failure.Proc]smrIdle1B
 	// Compaction state, loop-confined: base is the lowest live slot,
-	// lastCkpt/ckptState the frontier and serialized payload of this
-	// process's latest checkpoint, ackFrontier the highest checkpoint
-	// frontier each process (self included) has announced, and installView
-	// the last view a snapshot-install was sent to each peer (throttle).
+	// lastCkpt the frontier of this process's latest checkpoint,
+	// ackFrontier the highest checkpoint frontier each process (self
+	// included) has announced, and installView the last view a
+	// snapshot-install was sent to each peer (throttle).
 	base        int64
 	lastCkpt    int64
-	ckptState   string
 	ackFrontier map[failure.Proc]int64
 	installView map[failure.Proc]int64
 	stopped     bool
@@ -272,9 +271,15 @@ func New(n *node.Node, opts Options) *Log {
 	if opts.Batch.enabled() {
 		l.batch = newBatcher(l, opts.Batch)
 	}
-	for s := 0; s < opts.Slots; s++ {
-		l.slots = append(l.slots, l.makeSlot(int64(s)))
-	}
+	// Each instance registers its topics as it is created, and a peer that
+	// is already running can reach slot s's handlers — which read l.slots
+	// on the loop — while later slots are still being appended. Creating
+	// the window on the loop orders every such handler after it.
+	n.Call(func() { //lint:allow ctxflow one construction-time loop hop, before the log takes traffic; Call aborts when the node stops
+		for s := 0; s < opts.Slots; s++ {
+			l.slots = append(l.slots, l.makeSlot(int64(s)))
+		}
+	})
 	n.Handle(l.topicIdle1B, l.onIdle1B)
 	n.Handle(l.topicDecs, l.onDecs)
 	if l.compact.enabled() {

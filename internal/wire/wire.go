@@ -1,6 +1,14 @@
 // Package wire defines the JSON envelope used by all protocol messages. A
 // message is a topic string (which selects the handler at the destination)
 // plus a JSON-encoded body.
+//
+// The envelope format is fixed: Marshal emits exactly
+// {"t":"<topic>","b":<body>}, or {"t":"<topic>"} without a body, with the
+// bytes json.Marshal(Message{...}) would produce. Unmarshal parses that shape
+// by hand when the topic needs no escaping — a prefix scan for the topic and
+// a check for the closing brace, with the body aliasing the payload — and
+// hands every other input to encoding/json. The envelope itself is not
+// validated on the fast path; the body is, by the Decode that reads it.
 package wire
 
 import (
@@ -36,7 +44,7 @@ var encPool = sync.Pool{
 // printable ASCII with nothing the JSON string grammar (or the encoding/json
 // HTML-safe convention) escapes. Every topic in this codebase qualifies; the
 // fallback keeps Marshal correct for arbitrary strings.
-func plainTopic(s string) bool {
+func plainTopic[S string | []byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
@@ -189,8 +197,44 @@ func DecodeCheckpoint(v string) (Checkpoint, error) {
 	return c, nil
 }
 
-// Unmarshal decodes a payload into its envelope.
+// The fixed envelope shape Marshal emits for a plain topic.
+const (
+	topicOpen = `{"t":"`
+	bodyKey   = `,"b":`
+)
+
+// splitEnvelope cuts topic and body out of a payload of exactly the shape
+// Marshal emits for a plain topic: {"t":"<topic>"} or
+// {"t":"<topic>","b":<body>}. The body is everything between the key and
+// the closing brace, unvalidated, aliasing the payload (capacity-clipped so
+// an append cannot write into it). ok is false for any other input.
+func splitEnvelope(p []byte) (m Message, ok bool) {
+	if len(p) < len(topicOpen)+2 || string(p[:len(topicOpen)]) != topicOpen || p[len(p)-1] != '}' {
+		return Message{}, false
+	}
+	rest := p[len(topicOpen) : len(p)-1]
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 || !plainTopic(rest[:end]) {
+		return Message{}, false
+	}
+	topic, rest := rest[:end], rest[end+1:]
+	switch {
+	case len(rest) == 0:
+		return Message{Topic: string(topic)}, true
+	case len(rest) > len(bodyKey) && string(rest[:len(bodyKey)]) == bodyKey:
+		return Message{Topic: string(topic), Body: rest[len(bodyKey):len(rest):len(rest)]}, true
+	}
+	return Message{}, false
+}
+
+// Unmarshal decodes a payload into its envelope. A payload of the shape
+// Marshal emits is split by hand (splitEnvelope) and its Body aliases the
+// payload, so the caller must not modify the payload while the Message is
+// in use; anything else goes through encoding/json.
 func Unmarshal(payload []byte) (Message, error) {
+	if m, ok := splitEnvelope(payload); ok {
+		return m, nil
+	}
 	var m Message
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return Message{}, fmt.Errorf("unmarshal envelope: %w", err)

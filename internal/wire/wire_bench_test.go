@@ -144,3 +144,69 @@ func BenchmarkWireMarshal(b *testing.B) {
 		}
 	})
 }
+
+// decodeRungs are the write-path and propagation messages the decode
+// benchmarks measure, each with a fresh value of the body type its handler
+// decodes into.
+var decodeRungs = []struct {
+	shape string
+	into  func() any
+}{
+	{"2b-batch64", func() any { return new(shape2B) }},
+	{"dec", func() any { return new(shapeDec) }},
+	{"ckpt", func() any { return new(shapeCkpt) }},
+	{"qaf-prop", func() any { return new([]shapeProp) }},
+}
+
+// rungPayload returns the Marshal output of the named envelope shape.
+func rungPayload(b *testing.B, name string) []byte {
+	b.Helper()
+	for _, s := range envelopeShapes() {
+		if s.name == name {
+			p, err := Marshal(s.topic, s.body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return p
+		}
+	}
+	b.Fatalf("no envelope shape %q", name)
+	return nil
+}
+
+// BenchmarkWireUnmarshal measures splitting an envelope into topic and
+// body, the step every delivered message pays before dispatch.
+func BenchmarkWireUnmarshal(b *testing.B) {
+	for _, r := range decodeRungs {
+		b.Run(r.shape, func(b *testing.B) {
+			p := rungPayload(b, r.shape)
+			b.SetBytes(int64(len(p)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Unmarshal(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWireDecode measures decoding a split envelope's body into the
+// handler's message type.
+func BenchmarkWireDecode(b *testing.B) {
+	for _, r := range decodeRungs {
+		b.Run(r.shape, func(b *testing.B) {
+			m, err := Unmarshal(rungPayload(b, r.shape))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(m.Body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := Decode(m, r.into()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
