@@ -14,8 +14,12 @@ import "time"
 
 // Clock is the injectable time source. Now is Go's usual hybrid reading —
 // wall clock plus monotonic component — so durations computed from it are
-// immune to wall-clock steps; the protocol packages only ever compare
-// readings taken on the same process, never across processes.
+// immune to wall-clock steps. The protocol packages compare readings taken
+// on the same process for every safety decision. The one reading that
+// crosses processes is qaf's liveness floor: the Propagator raises logical
+// clocks to the wall time in microseconds while a peer is silent, so mute
+// processes keep pace; clocks that are not in step cost latency there,
+// never safety.
 type Clock interface {
 	// Now returns the current time (monotonic-backed on Real).
 	Now() time.Time

@@ -285,6 +285,22 @@ func (n *Node) Broadcast(topic string, body any) {
 	n.net.SendAll(n.id, payload)
 }
 
+// Multicast transmits one protocol message to each listed process, encoding
+// the body once: every recipient is handed the same payload.
+func (n *Node) Multicast(to []failure.Proc, topic string, body any) {
+	if len(to) == 0 {
+		return
+	}
+	payload, err := wire.Marshal(topic, body)
+	if err != nil {
+		log.Printf("node %d: %v", n.id, err)
+		return
+	}
+	for _, q := range to {
+		n.net.Send(n.id, q, payload)
+	}
+}
+
 // Every schedules fn to run on the event loop every interval until the node
 // stops or the returned cancel function is called.
 func (n *Node) Every(interval time.Duration, fn func()) (cancel func()) {

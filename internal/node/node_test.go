@@ -86,6 +86,46 @@ func TestBroadcastIncludesSelf(t *testing.T) {
 	}
 }
 
+// TestMulticastReachesListedOnly: a multicast reaches exactly the listed
+// processes, each once, and an empty list sends nothing.
+func TestMulticastReachesListedOnly(t *testing.T) {
+	net := fastNet(3)
+	defer net.Close()
+	nodes := make([]*Node, 3)
+	got := make(chan failure.Proc, 8)
+	for i := range nodes {
+		nodes[i] = New(failure.Proc(i), net)
+		id := failure.Proc(i)
+		nodes[i].Handle("m", func(from failure.Proc, m wire.Message) {
+			var body echoBody
+			if err := wire.Decode(m, &body); err != nil || body.X != 7 {
+				t.Errorf("process %d: body %s (%v)", id, m.Body, err)
+			}
+			got <- id
+		})
+	}
+	defer func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+	}()
+	nodes[0].Multicast(nil, "m", echoBody{X: 7})
+	nodes[0].Multicast([]failure.Proc{0, 2}, "m", echoBody{X: 7})
+	seen := map[failure.Proc]int{}
+	for len(seen) < 2 {
+		select {
+		case id := <-got:
+			seen[id]++
+		case <-time.After(2 * time.Second):
+			t.Fatalf("multicast not delivered to every listed process: %v", seen)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	if len(got) != 0 || seen[0] != 1 || seen[2] != 1 {
+		t.Fatalf("deliveries %v plus %d more, want processes 0 and 2 once each", seen, len(got))
+	}
+}
+
 func TestEventLoopSerializesState(t *testing.T) {
 	net := fastNet(1)
 	defer net.Close()

@@ -53,10 +53,14 @@ type genPendingSet struct {
 	done     chan struct{}
 }
 
-// observed is the freshest unsolicited state report received from a process.
+// observed is the freshest unsolicited state report received from a process:
+// its state, the clock it was reported at, and the state's version (the
+// sender's clock when that state was last updated; -1 when the push did not
+// say). A clock-only push may raise clock only while ver matches.
 type observed struct {
 	state []byte
 	clock int64
+	ver   int64
 }
 
 // Generalized implements the quorum access functions of Figure 3 on a
@@ -73,7 +77,8 @@ type Generalized struct {
 
 	// Loop-confined state.
 	clock    int64
-	dirty    bool // state or clock changed since the last propagation flush
+	ver      int64 // clock at the last applied update: the state's version
+	dirty    bool  // state or clock changed since the last propagation flush
 	seq      int64
 	gets     map[int64]*genPendingGet
 	sets     map[int64]*genPendingSet
@@ -323,18 +328,54 @@ func (g *Generalized) onGetResp(from failure.Proc, m wire.Message) {
 	if wire.Decode(m, &resp) != nil {
 		return
 	}
-	g.handleStatePush(from, resp.State, resp.Clock)
+	g.handleStatePush(from, resp.State, resp.Clock, -1)
 }
 
-// handleStatePush records a state push and re-evaluates all waiting
-// invocations. Runs on the node loop (called from onGetResp or from the
-// batched Propagator).
-func (g *Generalized) handleStatePush(from failure.Proc, state []byte, clock int64) {
+// handleStatePush records a state push of the given version and
+// re-evaluates all waiting invocations. Runs on the node loop (called from
+// onGetResp or from the batched Propagator).
+func (g *Generalized) handleStatePush(from failure.Proc, state []byte, clock, ver int64) {
 	// Keep only the freshest report per sender; per-sender clocks are
 	// monotone but the network may reorder messages.
 	if cur, ok := g.latest[from]; !ok || clock > cur.clock {
-		g.latest[from] = observed{state: state, clock: clock}
+		g.latest[from] = observed{state: state, clock: clock, ver: ver}
 	}
+	g.recheck()
+}
+
+// observeClock records a clock-only push: from's clock reached clock while
+// its state stayed at version ver. It raises the held report's clock only
+// when that report is of exactly version ver — the sender's state at this
+// clock is then the held state. Otherwise the entry is ignored until the
+// full state arrives. Runs on the node loop.
+func (g *Generalized) observeClock(from failure.Proc, clock, ver int64) {
+	cur, ok := g.latest[from]
+	if !ok || cur.ver != ver || clock <= cur.clock {
+		return
+	}
+	cur.clock = clock
+	g.latest[from] = cur
+	g.recheck()
+}
+
+// advanceClock is the Propagator's spontaneous clock advance (Figure 3,
+// line 12), floored by a wall-clock reading in microseconds, together with
+// the process's observation of itself: local phase-2 checks read
+// latest[self]. The state is snapshotted only when the self-observation
+// does not already hold the current version. Runs on the node loop.
+func (g *Generalized) advanceClock(floor int64) {
+	g.clock = max(g.clock+1, floor)
+	self := g.n.ID()
+	if ob, ok := g.latest[self]; ok && ob.ver == g.ver {
+		g.observeClock(self, g.clock, g.ver)
+		return
+	}
+	g.handleStatePush(self, g.sm.Snapshot(), g.clock, g.ver)
+}
+
+// recheck re-evaluates every waiting invocation against the held reports.
+// Runs on the node loop.
+func (g *Generalized) recheck() {
 	for seq, pg := range g.gets {
 		if pg.phase == 2 {
 			g.checkGetPhase2(seq, pg)
@@ -382,6 +423,7 @@ func (g *Generalized) onSetReq(from failure.Proc, m wire.Message) {
 		return
 	}
 	g.clock++
+	g.ver = g.clock
 	if g.prop != nil {
 		g.dirty = true
 		g.prop.requestFlush()

@@ -1,25 +1,32 @@
 package qaf
 
 import (
+	"slices"
+	"strings"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/failure"
 	"repro/internal/node"
 	"repro/internal/wire"
 )
 
 // propEntry is one instance's contribution to a batched propagation message.
-// The format is shared by delta broadcasts and targeted catch-up snapshots:
-// every entry always carries the instance's full state at the given clock.
+// A full entry carries the instance's state at the given clock together with
+// its state version V (the clock at which that state was last updated). A
+// clock-only entry omits the state: it announces that the sender's clock
+// reached Clock while its state stayed at version V, and a receiver applies
+// it only to a report of exactly that version it already holds.
 type propEntry struct {
 	Name  string `json:"n"`
-	State []byte `json:"s"`
+	State []byte `json:"s,omitempty"`
 	Clock int64  `json:"c"`
+	V     int64  `json:"v,omitempty"`
 }
 
 // ackEntry acknowledges the highest clock received from a peer for one
 // instance. Receivers of a propagation batch reply with one ack message
-// covering every entry of the batch.
+// covering every full entry of the batch.
 type ackEntry struct {
 	Name  string `json:"n"`
 	Clock int64  `json:"c"`
@@ -36,9 +43,10 @@ type nudgeEntry struct {
 // Liveness probing, in ticks. A peer we have not heard from in pingTicks
 // gets a ping; one silent for downTicks is treated as having no channel
 // back to us, which re-enables the paper's spontaneous per-tick behavior
-// toward it. An unacked push to a live peer is re-offered after
-// resendTicks. At the default 2ms tick: ping after 100ms of mutual
-// silence, assume no backchannel after 300ms, re-offer after 100ms.
+// toward it. An unacked push to a live peer, and the full state pushed to
+// silent peers, are re-offered after resendTicks. At the default 2ms tick:
+// ping after 100ms of mutual silence, assume no backchannel after 300ms,
+// re-offer after 100ms.
 const (
 	pingTicks   = 50
 	downTicks   = 150
@@ -47,9 +55,20 @@ const (
 
 // instState is the propagator's per-instance delta bookkeeping.
 type instState struct {
+	name  string
 	g     *Generalized
 	acked []int64 // per peer: highest clock the peer acked for this instance
-	sent  []int64 // per peer: clock last transmitted to the peer
+	sentV []int64 // per peer: state version last offered to the peer in full
+	// downV and downFull record the last full push to silent peers: the
+	// state version it carried and the tick it went out.
+	downV    int64
+	downFull int64
+}
+
+// full returns the instance's full propagation entry. Runs on the node loop.
+func (st *instState) full() propEntry {
+	g := st.g
+	return propEntry{Name: st.name, State: g.sm.Snapshot(), Clock: g.clock, V: g.ver}
 }
 
 // Propagator implements the periodic state propagation (Figure 3, line 12)
@@ -60,43 +79,58 @@ type instState struct {
 //     change is flushed immediately (coalesced per event-loop batch) as one
 //     broadcast carrying only the dirty entries. An idle instance
 //     contributes zero propagation bytes.
-//   - Receivers ack the clocks they observe. Per-peer acked/sent clocks let
-//     the propagator detect peers that are behind (partition, late join,
-//     lost push) and send them a full snapshot of exactly the instances
-//     they lack.
+//   - Receivers ack the clocks of the full states they observe. Per-peer
+//     acked clocks and offered state versions let the propagator detect
+//     peers that lack the current state (partition, late join, lost push)
+//     and send them exactly the instances they lack.
 //   - Peer liveness is probed with tiny pings whenever a pair has been
 //     mutually silent: a peer that answers nothing for downTicks may have
 //     no channel back to us at all (the paper's unidirectional model —
-//     process c under f1 can never be acked, nudged or pinged). Toward
-//     such peers the propagator reverts to the paper's spontaneous
-//     behavior: advance the clock and push state every tick. Only this
-//     probing lets the cluster be quiet the rest of the time without
-//     giving up the liveness of operations whose cutoffs depend on an
-//     unreachable process's clock.
+//     process c under f1 can never be acked, nudged or pinged). While any
+//     peer is silent the propagator reverts to the paper's spontaneous
+//     behavior: every tick it advances every clock, floored by the wall
+//     clock, and sends the silent peers one shared message with every
+//     instance's clock. State travels in full only when it changed since
+//     the last full push to them (or that push is resendTicks old);
+//     otherwise the entry is clock-only. Peers we do hear from get no
+//     spontaneous pushes: they are re-offered state they lack and answered
+//     on demand through nudges. Only this probing lets the cluster be
+//     quiet the rest of the time without giving up the liveness of
+//     operations whose cutoffs depend on an unreachable process's clock.
 //   - Pending phase-2 invocations broadcast clock nudges: receivers whose
 //     clock is below the cutoff jump to it and flush; receivers already at
 //     the cutoff re-push their state to the nudger if it has not acked a
 //     sufficient clock. This replaces the seed's unconditional per-tick
 //     clock advance with a demand-driven one.
 //
-// The wire format of propagation batches is unchanged from the seed; acks,
-// nudges and pings are new topics. All state is confined to the node event
-// loop.
+// The wall-clock floor serves liveness only: clocks that are not in step
+// cost latency, never safety. Figure 3 needs per-process clocks that are
+// monotone, strictly increase on apply, and are captured atomically with
+// the state they are pushed with; the floor is one more upward jump like a
+// nudge's. Without it a mute process's clock gains one per tick while the
+// write quorum's also gains one per applied update, so the gap a read
+// quorum must close grows with every write.
+//
+// Instances are kept in name order, so every message lists its entries in
+// a fixed order. All state is confined to the node event loop.
 type Propagator struct {
 	n      *node.Node
 	cancel func()
+	clk    clock.Clock // floors the spontaneous clock advance
 
 	// Loop-confined.
-	instances   map[string]*instState
+	instances   []*instState // sorted by name
+	byName      map[string]*instState
 	flushQueued bool
 	// pendingAcks accumulates observed clocks per sender between ticks, so
 	// a burst of pushes costs one ack message per peer per tick instead of
 	// one per push.
-	pendingAcks map[failure.Proc]map[string]int64
+	pendingAcks []map[string]int64
 	tickNo      int64
-	lastHeard   []int64 // per peer: tickNo when a propagator message last arrived
-	lastPing    []int64 // per peer: tickNo of our last ping
-	lastSend    []int64 // per peer: tickNo of our last targeted or broadcast push
+	lastHeard   []int64        // per peer: tickNo when a propagator message last arrived
+	lastPing    []int64        // per peer: tickNo of our last ping
+	lastSend    []int64        // per peer: tickNo of our last targeted or broadcast push
+	silent      []failure.Proc // peers silent for downTicks, recomputed every tick
 
 	topic      string
 	topicAck   string
@@ -115,8 +149,9 @@ func NewPropagator(n *node.Node, tick time.Duration) *Propagator {
 	peers := n.ClusterSize()
 	p := &Propagator{
 		n:           n,
-		instances:   make(map[string]*instState),
-		pendingAcks: make(map[failure.Proc]map[string]int64),
+		clk:         clock.Real,
+		byName:      make(map[string]*instState),
+		pendingAcks: make([]map[string]int64, peers),
 		lastHeard:   make([]int64, peers),
 		lastPing:    make([]int64, peers),
 		lastSend:    make([]int64, peers),
@@ -135,29 +170,47 @@ func NewPropagator(n *node.Node, tick time.Duration) *Propagator {
 	return p
 }
 
-// attach registers a Generalized accessor; called on the node loop. acked
-// and sent start at -1 ("never") and the instance starts dirty, so the
-// first flush broadcasts its initial state and every process (including
-// this one) observes it.
+// search returns the position of name in the sorted instance list and
+// whether it is there.
+func (p *Propagator) search(name string) (int, bool) {
+	return slices.BinarySearchFunc(p.instances, name, func(st *instState, name string) int {
+		return strings.Compare(st.name, name)
+	})
+}
+
+// attach registers a Generalized accessor; called on the node loop. The
+// acked clocks and offered versions start at -1 ("never") and the instance
+// starts dirty, so the first flush broadcasts its initial state and every
+// process (including this one) observes it.
 func (p *Propagator) attach(name string, g *Generalized) {
 	n := p.n.ClusterSize()
 	st := &instState{
+		name:  name,
 		g:     g,
 		acked: make([]int64, n),
-		sent:  make([]int64, n),
+		sentV: make([]int64, n),
+		downV: -1,
 	}
 	for q := range st.acked {
 		st.acked[q] = -1
-		st.sent[q] = -1
+		st.sentV[q] = -1
 	}
-	p.instances[name] = st
+	if i, ok := p.search(name); ok {
+		p.instances[i] = st
+	} else {
+		p.instances = slices.Insert(p.instances, i, st)
+	}
+	p.byName[name] = st
 	g.dirty = true
 	p.requestFlush()
 }
 
 // detach unregisters an accessor; called on the node loop.
 func (p *Propagator) detach(name string) {
-	delete(p.instances, name)
+	delete(p.byName, name)
+	if i, ok := p.search(name); ok {
+		p.instances = slices.Delete(p.instances, i, i+1)
+	}
 }
 
 // heard records propagator traffic from a peer (its channel to us works).
@@ -179,21 +232,23 @@ func (p *Propagator) requestFlush() {
 	p.n.Do(p.flush)
 }
 
-// flush broadcasts every dirty instance's (state, clock) as one message and
-// records the transmission against every peer. Runs on the node loop.
+// flush broadcasts every dirty instance's full entry as one message and
+// records the transmission against every peer, silent ones included. Runs
+// on the node loop.
 func (p *Propagator) flush() {
 	p.flushQueued = false
 	var entries []propEntry
-	for name, st := range p.instances {
+	for _, st := range p.instances {
 		g := st.g
 		if g.stopped || !g.dirty {
 			continue
 		}
 		g.dirty = false
-		entries = append(entries, propEntry{Name: name, State: g.sm.Snapshot(), Clock: g.clock})
-		for q := range st.sent {
-			st.sent[q] = g.clock
+		entries = append(entries, st.full())
+		for q := range st.sentV {
+			st.sentV[q] = g.ver
 		}
+		st.downV, st.downFull = g.ver, p.tickNo
 	}
 	if len(entries) > 0 {
 		for q := range p.lastSend {
@@ -211,9 +266,9 @@ func (p *Propagator) sendNudge(name string, cutoff int64) {
 
 // tick is the liveness backstop. It probes silent peers, re-nudges pending
 // invocations, falls back to spontaneous clock advance toward peers whose
-// silence suggests they cannot reach us, and re-sends full snapshots to
-// peers that are behind. On a healthy idle cluster the only traffic left
-// is the occasional ping/pong pair. Runs on the node loop.
+// silence suggests they cannot reach us, and re-offers state to peers that
+// lack it. On a healthy idle cluster the only traffic left is the
+// occasional ping/pong pair. Runs on the node loop.
 func (p *Propagator) tick() {
 	p.tickNo++
 	self := int(p.n.ID())
@@ -222,6 +277,7 @@ func (p *Propagator) tick() {
 	// Probe peers we have heard nothing from: either the pair is idle (they
 	// will pong) or they cannot reach us (the silence persists and the
 	// spontaneous fallback below engages).
+	p.silent = p.silent[:0]
 	for q := 0; q < peers; q++ {
 		if q == self {
 			continue
@@ -230,19 +286,22 @@ func (p *Propagator) tick() {
 			p.lastPing[q] = p.tickNo
 			p.n.Send(failure.Proc(q), p.topicPing, nil)
 		}
+		if p.tickNo-p.lastHeard[q] >= downTicks {
+			p.silent = append(p.silent, failure.Proc(q))
+		}
 	}
 	if len(p.instances) == 0 {
 		return
 	}
 
 	var nudges []nudgeEntry
-	for name, st := range p.instances {
+	for _, st := range p.instances {
 		g := st.g
 		if g.stopped {
 			continue
 		}
 		if cutoff, ok := g.pendingCutoff(); ok {
-			nudges = append(nudges, nudgeEntry{Name: name, Cutoff: cutoff})
+			nudges = append(nudges, nudgeEntry{Name: st.name, Cutoff: cutoff})
 		}
 	}
 	// Spontaneous clock advance (Figure 3, line 12) while any peer is
@@ -252,44 +311,39 @@ func (p *Propagator) tick() {
 	// told about — even cutoffs above its current clock, so being "caught
 	// up" is no excuse to stop. A crashed peer is indistinguishable from
 	// such a mute listener, so a degraded cluster ticks like the seed did;
-	// a fully healthy one stays quiet. Our own observation must track the
-	// advancing clock — local phase-2 checks read latest[self].
-	anyDown := false
-	for q := 0; q < peers; q++ {
-		if q != self && p.tickNo-p.lastHeard[q] >= downTicks {
-			anyDown = true
-			break
-		}
-	}
-	if anyDown {
+	// a fully healthy one stays quiet.
+	if len(p.silent) > 0 {
+		floor := p.clk.Now().UnixMicro()
 		for _, st := range p.instances {
 			if g := st.g; !g.stopped {
-				g.clock++
-				g.handleStatePush(p.n.ID(), g.sm.Snapshot(), g.clock)
+				g.advanceClock(floor)
 			}
 		}
 	}
 	// Broadcast dirt first (changes that slipped past an immediate flush),
-	// so the targeted pass below only sees what broadcasts cannot fix.
+	// so the passes below only see what broadcasts cannot fix.
 	p.flush()
-	// Targeted catch-up: one message per lagging peer with a full snapshot
-	// of exactly the instances it lacks. A peer lags when it never got the
-	// current clock (partition, late join, spontaneous advance) or when a
-	// push went unacked long enough to re-offer it.
+	if len(p.silent) > 0 {
+		p.pushSilent()
+	}
+	// Targeted catch-up for the peers we hear from: one message per peer
+	// with the full state of exactly the instances whose current version
+	// it has not acked — offered as soon as the version changes, re-offered
+	// after resendTicks. Their clock advances come on demand, via nudges.
 	for q := 0; q < peers; q++ {
-		if q == self {
+		if q == self || p.tickNo-p.lastHeard[q] >= downTicks {
 			continue
 		}
-		retry := p.tickNo-p.lastHeard[q] >= downTicks || p.tickNo-p.lastSend[q] >= resendTicks
+		retry := p.tickNo-p.lastSend[q] >= resendTicks
 		var lag []propEntry
-		for name, st := range p.instances {
+		for _, st := range p.instances {
 			g := st.g
-			if g.stopped || st.acked[q] >= g.clock {
+			if g.stopped || st.acked[q] >= g.ver {
 				continue
 			}
-			if st.sent[q] < g.clock || retry {
-				lag = append(lag, propEntry{Name: name, State: g.sm.Snapshot(), Clock: g.clock})
-				st.sent[q] = g.clock
+			if st.sentV[q] < g.ver || retry {
+				lag = append(lag, st.full())
+				st.sentV[q] = g.ver
 			}
 		}
 		if len(lag) > 0 {
@@ -303,36 +357,64 @@ func (p *Propagator) tick() {
 	p.flushAcks()
 }
 
+// pushSilent sends the silent peers one shared message with an entry per
+// instance: the full state when its version changed since the last full
+// push to silent peers or that push is resendTicks old, a clock-only entry
+// otherwise. Silent peers cannot ack, so the periodic full re-offer is what
+// heals a lost push. Runs on the node loop.
+func (p *Propagator) pushSilent() {
+	entries := make([]propEntry, 0, len(p.instances))
+	for _, st := range p.instances {
+		g := st.g
+		if g.stopped {
+			continue
+		}
+		if g.ver != st.downV || p.tickNo-st.downFull >= resendTicks {
+			entries = append(entries, st.full())
+			st.downV, st.downFull = g.ver, p.tickNo
+		} else {
+			entries = append(entries, propEntry{Name: st.name, Clock: g.clock, V: g.ver})
+		}
+	}
+	if len(entries) > 0 {
+		p.n.Multicast(p.silent, p.topic, entries)
+	}
+}
+
 // onProp demultiplexes a propagation batch to the attached instances and
-// queues acks for the observed clocks, sent at the next tick. Runs on the
-// node loop.
+// queues acks for the observed clocks of full entries, sent at the next
+// tick. Runs on the node loop.
 func (p *Propagator) onProp(from failure.Proc, m wire.Message) {
 	p.heard(from)
 	var entries []propEntry
 	if wire.Decode(m, &entries) != nil {
 		return
 	}
-	// Ack only entries applied to a hosted instance: acking state we
+	// Ack only full entries applied to a hosted instance: acking state we
 	// discard (e.g. a push racing a still-queued attach) would poison the
 	// sender's acked clock and suppress the catch-up we will need once the
-	// attach lands. Unacked entries stay outstanding at the sender and are
-	// re-offered after resendTicks.
-	var acks map[string]int64
-	if from != p.n.ID() {
-		acks = p.pendingAcks[from]
-	}
+	// attach lands, and a clock-only entry delivers no state to ack.
+	// Unacked entries stay outstanding at the sender and are re-offered
+	// after resendTicks.
+	q := int(from)
+	ack := from != p.n.ID() && q >= 0 && q < len(p.pendingAcks)
 	for _, e := range entries {
-		st, ok := p.instances[e.Name]
+		st, ok := p.byName[e.Name]
 		if !ok || st.g.stopped {
 			continue
 		}
-		st.g.handleStatePush(from, e.State, e.Clock)
-		if from == p.n.ID() {
+		if len(e.State) == 0 {
+			st.g.observeClock(from, e.Clock, e.V)
 			continue
 		}
+		st.g.handleStatePush(from, e.State, e.Clock, e.V)
+		if !ack {
+			continue
+		}
+		acks := p.pendingAcks[q]
 		if acks == nil {
 			acks = make(map[string]int64)
-			p.pendingAcks[from] = acks
+			p.pendingAcks[q] = acks
 		}
 		if prev, ok := acks[e.Name]; !ok || e.Clock > prev {
 			acks[e.Name] = e.Clock
@@ -340,10 +422,10 @@ func (p *Propagator) onProp(from failure.Proc, m wire.Message) {
 	}
 }
 
-// flushAcks sends the accumulated acks, one message per peer. Runs on the
-// node loop.
+// flushAcks sends the accumulated acks, one message per peer with entries
+// in name order. Runs on the node loop.
 func (p *Propagator) flushAcks() {
-	for peer, acks := range p.pendingAcks {
+	for q, acks := range p.pendingAcks {
 		if len(acks) == 0 {
 			continue
 		}
@@ -351,8 +433,9 @@ func (p *Propagator) flushAcks() {
 		for name, c := range acks {
 			out = append(out, ackEntry{Name: name, Clock: c})
 		}
-		p.n.Send(peer, p.topicAck, out)
-		delete(p.pendingAcks, peer)
+		slices.SortFunc(out, func(a, b ackEntry) int { return strings.Compare(a.Name, b.Name) })
+		p.n.Send(failure.Proc(q), p.topicAck, out)
+		p.pendingAcks[q] = nil
 	}
 }
 
@@ -365,7 +448,7 @@ func (p *Propagator) onAck(from failure.Proc, m wire.Message) {
 	}
 	q := int(from)
 	for _, a := range acks {
-		st, ok := p.instances[a.Name]
+		st, ok := p.byName[a.Name]
 		if !ok || q < 0 || q >= len(st.acked) {
 			continue
 		}
@@ -389,7 +472,7 @@ func (p *Propagator) onNudge(from failure.Proc, m wire.Message) {
 	selfID := int(p.n.ID())
 	var reply []propEntry
 	for _, nd := range nudges {
-		st, ok := p.instances[nd.Name]
+		st, ok := p.byName[nd.Name]
 		if !ok || st.g.stopped {
 			continue
 		}
@@ -402,14 +485,12 @@ func (p *Propagator) onNudge(from failure.Proc, m wire.Message) {
 			g.dirty = true
 			p.requestFlush()
 		} else if q != selfID && q >= 0 && q < len(st.acked) && st.acked[q] < nd.Cutoff {
-			reply = append(reply, propEntry{Name: nd.Name, State: g.sm.Snapshot(), Clock: g.clock})
-			st.sent[q] = g.clock
+			reply = append(reply, st.full())
+			st.sentV[q] = g.ver
 		}
 	}
 	if len(reply) > 0 {
-		if q >= 0 && q < len(p.lastSend) {
-			p.lastSend[q] = p.tickNo
-		}
+		p.lastSend[q] = p.tickNo
 		p.n.Send(from, p.topic, reply)
 	}
 }

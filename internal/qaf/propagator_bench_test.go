@@ -3,6 +3,7 @@ package qaf
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,4 +112,43 @@ func BenchmarkPropagatorFanout(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 		})
 	}
+}
+
+// BenchmarkPropagatorUnderF1 measures one sequential Set+Get pair at a with
+// pattern f1 applied: d crashed and only c→a, a→b, b→a up, so every live
+// process runs the propagator's spontaneous per-tick fallback for 16
+// instances while the pair's read quorum {a, c} waits on c's clock. It
+// reports the pair's p50 latency next to ns/op and allocs/op (the latter
+// include the background fallback traffic of the whole cluster).
+func BenchmarkPropagatorUnderF1(b *testing.B) {
+	const k = 16
+	c := newBenchCluster(4, k, 2*time.Millisecond)
+	defer c.stop()
+	c.net.ApplyPattern(quorum.Figure1().F.Patterns[0])
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	acc := c.accs[0][0]
+	pair := func(v int64) {
+		if err := acc.Set(ctx, enc(v)); err != nil {
+			b.Fatalf("Set: %v", err)
+		}
+		if _, err := acc.Get(ctx); err != nil {
+			b.Fatalf("Get: %v", err)
+		}
+	}
+	// Let every live process notice its silent peers (downTicks) before
+	// measuring, so the loop runs in the steady fallback regime.
+	time.Sleep(2 * downTicks * 2 * time.Millisecond)
+	pair(1)
+	lat := make([]time.Duration, 0, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		pair(int64(i + 2))
+		lat = append(lat, time.Since(t0))
+	}
+	b.StopTimer()
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1000, "p50-ms")
 }

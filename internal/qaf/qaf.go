@@ -32,7 +32,9 @@ var ErrStopped = errors.New("quorum accessor stopped")
 // Implementations are only invoked from the hosting node's event loop and
 // therefore need no internal synchronization.
 type StateMachine interface {
-	// Snapshot returns an encoding of the current state.
+	// Snapshot returns an encoding of the current state. It must not be
+	// empty: the Propagator sends clock-only entries as entries without
+	// state.
 	Snapshot() []byte
 	// Apply applies an update descriptor u to the state, implementing
 	// state <- u(state).
