@@ -123,6 +123,10 @@ type Consensus struct {
 	future1Bs map[int64]map[failure.Proc]msg1B  // 1Bs for views we have not entered yet
 	decided   bool
 	decVal    string
+	// announced records that this process pushed its decision to every
+	// peer itself (decide with announce): a late 2A or 2B from a peer then
+	// needs no answer, since the announcement already went to it.
+	announced bool
 	waiters   []chan string
 	onDecide  func(string)
 	onActive  func()
@@ -132,6 +136,9 @@ type Consensus struct {
 	// against Propose's mid-view forward.
 	sentMineView int64
 	stopped      bool
+
+	// peers is every process but this one, the audience of an announcement.
+	peers []failure.Proc
 
 	topic1B  string
 	topic2A  string
@@ -161,6 +168,11 @@ func New(n *node.Node, opts Options) *Consensus {
 		topic2A:   opts.Name + "/2a",
 		topic2B:   opts.Name + "/2b",
 		topicDec:  opts.Name + "/dec",
+	}
+	for p := 0; p < n.ClusterSize(); p++ {
+		if failure.Proc(p) != n.ID() {
+			c.peers = append(c.peers, failure.Proc(p))
+		}
 	}
 	n.Handle(c.topic1B, c.on1B)
 	n.Handle(c.topic2A, c.on2A)
@@ -412,14 +424,13 @@ func (c *Consensus) tryPropose() {
 }
 
 // on2A implements acceptance (Figure 6, lines 17-22). A decided instance
-// answers with the decision without decoding the body.
+// drops the body undecoded (see answerLate).
 func (c *Consensus) on2A(from failure.Proc, m wire.Message) {
 	if c.stopped {
 		return
 	}
 	if c.decided {
-		c.activate()
-		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
+		c.answerLate(from)
 		return
 	}
 	var a msg2A
@@ -441,16 +452,14 @@ func (c *Consensus) on2A(from failure.Proc, m wire.Message) {
 }
 
 // on2B implements the decision rule (Figure 6, lines 23-26). A decided
-// instance answers with the decision without decoding the body: after a
-// decision the remaining 2Bs of the round, each carrying the whole value,
-// are pure redundancy.
+// instance drops the body undecoded: after a decision the remaining 2Bs of
+// the round, each carrying the whole value, are pure redundancy.
 func (c *Consensus) on2B(from failure.Proc, m wire.Message) {
 	if c.stopped {
 		return
 	}
 	if c.decided {
-		c.activate()
-		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
+		c.answerLate(from)
 		return
 	}
 	var b msg2B
@@ -481,6 +490,18 @@ func (c *Consensus) on2B(from failure.Proc, m wire.Message) {
 	c.aview = c.view
 	c.ph = phaseDecide
 	c.decide(b.Val, true)
+}
+
+// answerLate handles a 2A or 2B reaching an instance that has already
+// decided. An instance that announced its decision sent it to the peer
+// already, so it stays silent; one that decided through Learn announced
+// nothing and answers with the decision. (Late 1Bs are always answered —
+// that is what heals a lost announcement.)
+func (c *Consensus) answerLate(from failure.Proc) {
+	c.activate()
+	if !c.announced {
+		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
+	}
 }
 
 // onDec adopts a decision learned from a peer that already decided. Every
@@ -518,8 +539,9 @@ func (c *Consensus) Learn(val string) {
 }
 
 // decide records the decision, wakes waiters, fires OnDecide and, when
-// announce is set, pushes the decision to all — after which this process
-// stops driving views for the instance (see stepView). Runs on the loop.
+// announce is set, pushes the decision to every other process — after which
+// this process stops driving views for the instance (see stepView). Runs on
+// the loop.
 func (c *Consensus) decide(val string, announce bool) {
 	if c.decided {
 		return
@@ -531,7 +553,8 @@ func (c *Consensus) decide(val string, announce bool) {
 	}
 	c.waiters = nil
 	if announce {
-		c.n.Broadcast(c.topicDec, msgDec{Val: val})
+		c.announced = true
+		c.n.Multicast(c.peers, c.topicDec, msgDec{Val: val})
 	}
 	if c.onDecide != nil {
 		c.onDecide(val)

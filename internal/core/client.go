@@ -416,7 +416,9 @@ func (lc *LogClient) Append(ctx context.Context, cmd string) (int64, error) {
 // Get returns the decision of a slot, blocking until it is decided at the
 // routed process. With the cluster's batching enabled a slot's decision may
 // be an opaque group-commit value carrying several commands; expand it with
-// smr.SlotCommands (re-exported as gqs.SlotCommands).
+// smr.SlotCommands (re-exported as gqs.SlotCommands). A sub-batch re-sent
+// after a view change can appear in two slots' values; its later copy was
+// skipped at apply.
 func (lc *LogClient) Get(ctx context.Context, slot int64) (string, error) {
 	var v string
 	err := lc.do(ctx, func(ctx context.Context, p int) error {

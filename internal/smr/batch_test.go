@@ -157,8 +157,8 @@ func TestBatchCloseDrains(t *testing.T) {
 // window, concurrent appends land in distinct slots whose rounds overlap —
 // and every completion upholds the decided-prefix invariant: when an append
 // returns, no slot at or below it is still undecided at this process.
-// (Pipelined claims decide out of order; completions gate on awaitPrefix,
-// and a forced next bump past a hole once voided exactly this check.)
+// (Pipelined claims decide out of order; completions happen at first
+// apply, and a forced next bump past a hole once voided exactly this check.)
 func TestBatchPipelineDistinctSlots(t *testing.T) {
 	c := newBatchedCluster(t, 64, BatchOptions{Window: time.Millisecond, MaxOps: 1, Pipeline: 8})
 	defer c.stop()

@@ -3,6 +3,7 @@ package smr
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/clock"
@@ -130,11 +131,14 @@ type smrCkpt struct {
 }
 
 // smrSnap installs a snapshot at a lagging peer: the sender's serialized
-// applied state at Frontier plus its decided suffix at and above it.
+// applied state at Frontier, its table of applied sub-batches at the same
+// frontier (so the receiver skips the same duplicates), plus its decided
+// suffix at and above it.
 type smrSnap struct {
-	Frontier int64         `json:"f"`
-	State    string        `json:"s,omitempty"`
-	Decs     []smrDecEntry `json:"d,omitempty"`
+	Frontier int64                  `json:"f"`
+	State    string                 `json:"s,omitempty"`
+	Decs     []smrDecEntry          `json:"d,omitempty"`
+	Applied  map[uint64]*originSeqs `json:"a,omitempty"`
 }
 
 // makeSlot creates the consensus instance of one logical slot. Safe on the
@@ -209,6 +213,9 @@ func (l *Log) extendWindow(to int64) {
 		l.slots = append(l.slots, l.makeSlot(s))
 	}
 	l.swapWindowGate()
+	if l.batch != nil {
+		l.pump() // claims parked on the old end
+	}
 }
 
 // resolveSlot returns the consensus instance of a claimed slot, waiting out
@@ -253,8 +260,8 @@ func (l *Log) resolveSlot(ctx context.Context, slot int64) (*consensus.Consensus
 // node loop.
 func (l *Log) noteOccupancy() {
 	hi := l.frontier + 1
-	if l.claimNext > hi {
-		hi = l.claimNext
+	if l.batch != nil && l.batch.next > hi {
+		hi = l.batch.next
 	}
 	if l.next > hi {
 		hi = l.next
@@ -365,6 +372,7 @@ func (l *Log) truncateTo(t int64) {
 	l.slots = append(make([]*consensus.Consensus, 0, len(l.slots)-int(n)), l.slots[n:]...)
 	for s := l.base; s < t; s++ {
 		delete(l.decided, s)
+		delete(l.skipped, s)
 		for _, ch := range l.waiters[s] {
 			close(ch) // a Get parked on a truncated slot fails
 		}
@@ -402,16 +410,18 @@ func (l *Log) sendInstall(to failure.Proc, view int64) {
 			decs = append(decs, smrDecEntry{Slot: s, Val: v})
 		}
 	}
-	l.n.Send(to, l.topicSnap, smrSnap{Frontier: l.next, State: state, Decs: decs})
+	l.n.Send(to, l.topicSnap, smrSnap{Frontier: l.next, State: state, Decs: decs, Applied: l.appliedSubs})
 	l.installsSent.Add(1)
 }
 
-// onSnap adopts a snapshot-install: restore the installed state, jump the
-// decided prefix to its frontier, adopt the frontier as our own checkpoint
-// (announcing it unblocks peers' truncation), truncate our own retired
-// prefix, and learn the decided suffix. Append completions gated on the
+// onSnap adopts a snapshot-install: restore the installed state and the
+// table of applied sub-batches, jump the decided prefix to its frontier,
+// adopt the frontier as our own checkpoint (announcing it unblocks peers'
+// truncation), truncate our own retired prefix, and learn the decided
+// suffix. Append completions gated on the
 // skipped prefix are released — the installed state covers every slot
-// they were gated on. Runs on the node loop.
+// they were gated on — and this process's sub-batches applied inside it
+// complete at the positions the table recorded. Runs on the node loop.
 func (l *Log) onSnap(from failure.Proc, m wire.Message) {
 	var s smrSnap
 	if wire.Decode(m, &s) != nil || l.stopped {
@@ -425,9 +435,7 @@ func (l *Log) onSnap(from failure.Proc, m wire.Message) {
 		}
 		l.extendWindow(s.Frontier + l.window)
 		l.next = s.Frontier
-		if l.claimNext < l.next {
-			l.claimNext = l.next
-		}
+		l.adoptApplied(s.Applied)
 		if s.Frontier-1 > l.frontier {
 			l.frontier = s.Frontier - 1
 		}
@@ -452,5 +460,43 @@ func (l *Log) onSnap(from failure.Proc, m wire.Message) {
 		if inst := l.slotAt(d.Slot); inst != nil {
 			inst.Learn(d.Val)
 		}
+	}
+}
+
+// adoptApplied replaces the table of applied sub-batches with an installed
+// one and queues the completion of this process's sub-batches it covers:
+// they were applied in slots the install skipped, at the positions the
+// table's Last recorded (see originSeqs for why they are there). Runs on
+// the node loop; the fold that follows completes them.
+func (l *Log) adoptApplied(t map[uint64]*originSeqs) {
+	if t == nil {
+		t = make(map[uint64]*originSeqs)
+	}
+	l.appliedSubs = t
+	b := l.batch
+	if b == nil {
+		return
+	}
+	for k := range b.queued {
+		if l.isApplied(k) {
+			delete(b.queued, k)
+		}
+	}
+	o := t[uint64(l.n.ID())]
+	if o == nil {
+		return
+	}
+	for seq, sb := range b.out {
+		if !o.has(seq) {
+			continue
+		}
+		i := slices.IndexFunc(o.Last, func(p seqPos) bool { return p.Seq == seq })
+		if i < 0 {
+			delete(b.out, seq)
+			b.finish(sb, AppendResult{Err: fmt.Errorf("sub-batch %d applied below the installed frontier at an unrecorded slot: %w", seq, ErrCompacted)})
+			continue
+		}
+		p := o.Last[i]
+		l.firstApplied = append(l.firstApplied, ownDone{seq: seq, slot: p.Slot, index: p.Index})
 	}
 }

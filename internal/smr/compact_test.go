@@ -69,6 +69,28 @@ func TestCompactionSustainedWritesOutliveSlotBudget(t *testing.T) {
 	}
 }
 
+// TestRecycledSlotsProposableMidView: slots a compacting log creates in the
+// middle of a long view are covered by the view's open-ended default 1B
+// range, so the leader proposes into them within that view. 40 sequential
+// writes through an 8-slot window recycle the window several times inside
+// view 1; when the range stopped at the window's end as it stood at view
+// entry, every write past it waited for the next view (3 s here).
+func TestRecycledSlotsProposableMidView(t *testing.T) {
+	c := newCompactCluster(t, func(o *Options) { o.ViewC = 3 * time.Second })
+	defer c.stop()
+	ctx := ctxSec(t, 2)
+
+	start := time.Now()
+	for i := 0; i < 40; i++ {
+		if _, err := c.kvs[0].Set(ctx, "k", fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatalf("write %d after %v: %v", i, time.Since(start), err)
+		}
+	}
+	if m := c.kvs[0].CompactionMetrics(); m.SlotsFreed == 0 {
+		t.Fatalf("the window never recycled a slot: %+v", m)
+	}
+}
+
 // TestCompactionWithPipelinedBatches keeps several group commits in flight
 // while checkpoints truncate the decided prefix underneath them: an
 // in-flight pipelined batch whose claimed slot crosses the truncation

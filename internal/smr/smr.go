@@ -14,15 +14,26 @@
 // created protocol instances — it can only participate in protocols it
 // starts spontaneously. The paper's algorithms assume every correct process
 // runs the algorithm from startup; the pre-created window realizes exactly
-// that per slot. (An unbounded log would need slot-generic 1B messages — a
-// protocol extension beyond the paper.)
+// that per slot.
+//
+// Idle slots answer each view with one batched default 1B per process, and
+// the virgin tail is sent as the open range [frontier+1, ∞), so it also
+// covers slots a compacting log creates mid-view. This is safe: a default
+// 1B (aview 0, no value) is exactly what an instance that has accepted
+// nothing would answer, and every slot above the sender's frontier is in
+// that state, created yet or not. A slot activated later is moved straight
+// into the current view (onSlotActive) before it handles anything, so it
+// can never accept a 2A from a view below one it has answered for.
 //
 // The hot path supports group commit: with Options.Batch enabled, commands
-// arriving within a short window coalesce into one ordered batch that a
-// single consensus instance decides as one opaque value, and up to a
-// configurable number of batches pipeline across consecutive slots (see
-// batch.go). Consensus value semantics are untouched — a batch is one value
-// — so the paper's safety argument carries over unchanged. Leader leases
+// arriving within a short window are cut into sub-batches, every process
+// forwards its sub-batches to the leader of its current view, and the leader
+// — the only process that claims slots — packs them into one value per slot
+// that a single consensus instance decides, with up to a configurable number
+// of slots in flight (see batch.go). A sub-batch re-sent after a view change
+// may commit twice; the later copy is skipped at apply, identically at every
+// replica. Consensus value semantics are untouched — a batch is one value —
+// so the paper's safety argument carries over unchanged. Leader leases
 // (internal/lease) serve leased local reads off the applied state, and
 // checkpointed compaction (Options.Compaction, compact.go) removes the
 // lifetime write budget: each process periodically announces a checkpoint
@@ -37,6 +48,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,8 +101,9 @@ type Options struct {
 	Batch BatchOptions
 	// OnCommit, when set, runs on the node loop for every slot the decided
 	// prefix advances over — in slot order, exactly once per slot, with the
-	// slot's raw decided value (an opaque group-commit batch under
-	// batching; expand with SlotCommands). Layers keeping derived state
+	// slot's applied value: the decided value (an opaque group-commit batch
+	// under batching; expand with SlotCommands), less any sub-batch already
+	// applied in an earlier slot. Layers keeping derived state
 	// over the log (the KV's applied map) fold slots in here instead of
 	// replaying the prefix per read. It fires before the slot's prefix
 	// waiters are released, so an append completion observes every
@@ -151,6 +164,7 @@ type Log struct {
 	topicDecs   string
 	topicCkpt   string
 	topicSnap   string
+	topicFwd    string
 
 	// batch is the group-commit append buffer, nil when batching is off.
 	batch *batcher
@@ -190,12 +204,9 @@ type Log struct {
 	// Loop-confined state.
 	decided map[int64]string
 	next    int64 // lowest slot this process has not observed decided
-	// claimNext is the next slot a pipelined batch proposal claims; it never
-	// trails next and never hands two local batches the same slot.
-	claimNext int64
-	waiters   map[int64][]chan string
-	// prefixWaiters holds batch completions gated on the decided prefix
-	// covering their slot (awaitPrefix): key k fires when next exceeds k.
+	waiters map[int64][]chan string
+	// prefixWaiters holds WaitPrefix calls gated on the decided prefix
+	// covering their slot: key k fires when next exceeds k.
 	prefixWaiters map[int64][]chan struct{}
 	// view is the current view as driven by the shared synchronizer.
 	view int64
@@ -212,6 +223,13 @@ type Log struct {
 	// peer); they are replayed on demand the moment a covered slot first
 	// activates (see onSlotActive).
 	idle1Bs map[failure.Proc]smrIdle1B
+	// appliedSubs is the table of applied sub-batches, keyed by origin (see
+	// originSeqs); skipped holds the applied value of each live slot that
+	// carried an already-applied sub-batch; firstApplied collects this
+	// process's sub-batches applied during one fold, completed at its end.
+	appliedSubs  map[uint64]*originSeqs
+	skipped      map[int64]string
+	firstApplied []ownDone
 	// Compaction state, loop-confined: base is the lowest live slot,
 	// lastCkpt the frontier of this process's latest checkpoint,
 	// ackFrontier the highest checkpoint frontier each process (self
@@ -261,12 +279,15 @@ func New(n *node.Node, opts Options) *Log {
 		prefixWaiters: make(map[int64][]chan struct{}),
 		frontier:      -1,
 		idle1Bs:       make(map[failure.Proc]smrIdle1B),
+		appliedSubs:   make(map[uint64]*originSeqs),
+		skipped:       make(map[int64]string),
 		ackFrontier:   make(map[failure.Proc]int64),
 		installView:   make(map[failure.Proc]int64),
 		topicIdle1B:   opts.Name + "/idle1b",
 		topicDecs:     opts.Name + "/decs",
 		topicCkpt:     opts.Name + "/ckpt",
 		topicSnap:     opts.Name + "/snap",
+		topicFwd:      opts.Name + "/fwd",
 	}
 	if opts.Batch.enabled() {
 		l.batch = newBatcher(l, opts.Batch)
@@ -282,6 +303,9 @@ func New(n *node.Node, opts Options) *Log {
 	})
 	n.Handle(l.topicIdle1B, l.onIdle1B)
 	n.Handle(l.topicDecs, l.onDecs)
+	if l.batch != nil {
+		n.Handle(l.topicFwd, l.onFwd)
+	}
 	if l.compact.enabled() {
 		n.Handle(l.topicCkpt, l.onCkpt)
 		n.Handle(l.topicSnap, l.onSnap)
@@ -296,8 +320,9 @@ func New(n *node.Node, opts Options) *Log {
 
 // stepView enters view v at every active slot (the prefix up to the
 // frontier), batching the default 1Bs of idle slots — stepped ones with
-// nothing to say, plus the whole virgin tail as one O(1) range — into one
-// message to the view's leader. Runs on the node loop.
+// nothing to say, plus the whole virgin tail as the open range
+// [frontier+1, ∞) — into one message to the view's leader, then re-routes
+// the group-commit state for the new leader. Runs on the node loop.
 func (l *Log) stepView(v int64) {
 	if l.stopped {
 		return
@@ -317,14 +342,14 @@ func (l *Log) stepView(v int64) {
 			addIdle(s, s+1)
 		}
 	}
-	if tail, end := scan+1, l.base+int64(len(l.slots)); tail < end {
-		addIdle(tail, end)
+	// The tail is open-ended: slots a compacting log creates later in this
+	// view are virgin too, and their default 1B is this one (see the
+	// package comment).
+	addIdle(scan+1, math.MaxInt64)
+	l.n.Send(l.leaderOf(v), l.topicIdle1B, smrIdle1B{View: v, Ranges: ranges})
+	if l.batch != nil {
+		l.enterViewBatch(v)
 	}
-	if len(ranges) == 0 {
-		return
-	}
-	leader := failure.Proc(viewsync.Leader(viewsync.View(v), l.n.ClusterSize()))
-	l.n.Send(leader, l.topicIdle1B, smrIdle1B{View: v, Ranges: ranges})
 }
 
 // onIdle1B records a peer's batched default 1Bs (leader side). Slots this
@@ -411,10 +436,10 @@ func (l *Log) onSlotActive(slot int64) {
 	}
 	if l.view > 0 {
 		// Fast-forward a virgin instance into the current view. Its default
-		// 1B for this view needs no fresh send: stepView's tail range
-		// [frontier+1, capacity) already covered every then-virgin slot at
-		// view entry, and an instance activated by a local proposal sends
-		// its own Mine-carrying 1B from StepView.
+		// 1B for this view needs no fresh send: stepView's open tail range
+		// [frontier+1, ∞) already covered every then-virgin slot at view
+		// entry, created or not, and an instance activated by a local
+		// proposal sends its own Mine-carrying 1B from StepView.
 		inst.StepView(l.view)
 	}
 	for from, b := range l.idle1Bs {
@@ -482,15 +507,20 @@ func (l *Log) recordDecision(slot int64, v string) {
 	l.noteOccupancy()
 }
 
-// foldPrefix advances next over contiguous decided slots, folding each into
-// derived state, then releases the prefix waiters now covered. The fold
-// runs BEFORE the waiters are released: an append completion gated on the
-// prefix must observe every commit effect up to its slot. Runs on the loop.
+// foldPrefix advances next over contiguous decided slots, skipping
+// sub-batches already applied (applyBatch) and folding the rest into
+// derived state, then releases the prefix waiters now covered and completes
+// this process's sub-batches applied for the first time. The fold runs
+// BEFORE anything is released: an append completion gated on the prefix
+// must observe every commit effect up to its slot. Runs on the loop.
 func (l *Log) foldPrefix() {
 	for {
 		v, ok := l.decided[l.next]
 		if !ok {
 			break
+		}
+		if wire.IsBatch(v) {
+			v = l.applyBatch(l.next, v)
 		}
 		if l.onCommit != nil {
 			l.onCommit(l.next, v)
@@ -505,24 +535,16 @@ func (l *Log) foldPrefix() {
 			delete(l.prefixWaiters, k)
 		}
 	}
-}
-
-// awaitPrefix blocks until this process's decided prefix covers slot (next >
-// slot) or the log stops. Batch completions gate on it so a returned Append
-// implies a locally decided prefix through its slot — the invariant the KV
-// Sync barrier's freshness argument rests on (see batch.go).
-func (l *Log) awaitPrefix(slot int64) {
-	ch := make(chan struct{})
-	wait := false
-	l.n.Call(func() {
-		if l.stopped || l.next > slot {
-			return
-		}
-		wait = true
-		l.prefixWaiters[slot] = append(l.prefixWaiters[slot], ch)
-	})
-	if wait {
-		<-ch
+	if l.batch == nil {
+		return
+	}
+	for _, d := range l.firstApplied {
+		l.completeOwn(d)
+	}
+	clear(l.firstApplied)
+	l.firstApplied = l.firstApplied[:0]
+	if l.full() {
+		l.failOut(ErrLogFull) // no slot is left for them
 	}
 }
 
@@ -664,7 +686,8 @@ func (l *Log) Append(ctx context.Context, cmd string) (int64, error) {
 		if v == cmd {
 			// The sequential walk guarantees the local prefix covers the
 			// slot here (the bump above), matching the batched path's
-			// awaitPrefix; the gate, if any, runs under the same invariant.
+			// completion at first apply; the gate, if any, runs under the
+			// same invariant.
 			l.runGate(slot)
 			return slot, nil
 		}
@@ -721,7 +744,9 @@ func (l *Log) AppendAsync(ctx context.Context, cmd string) <-chan AppendResult {
 // Get returns the decision of a slot, blocking until it is decided at this
 // process. Under batching a slot's decision may be an opaque group-commit
 // value carrying several commands; SlotCommands expands it (DecidedPrefix
-// already flattens the whole prefix back into the per-command sequence).
+// already flattens the whole prefix back into the per-command sequence). A
+// sub-batch in the value that an earlier slot already applied is skipped at
+// apply: it appears here but changes no state.
 func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 	if slot < 0 {
 		return "", fmt.Errorf("slot %d out of range", slot)
@@ -772,12 +797,13 @@ func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 	}
 }
 
-// DecidedPrefix returns the decided commands of slots [base, k) where k is
+// DecidedPrefix returns the applied commands of slots [base, k) where k is
 // the first undecided slot at this process and base is the live window's
 // start (0 without compaction — the full decided prefix; under compaction
 // the truncated prefix below base lives on only inside checkpoints),
 // flattening group-commit batches back into their ordered per-command
-// sequence (one decided slot may contribute several commands). The context
+// sequence (one decided slot may contribute several commands) and leaving
+// out the sub-batches skipped at apply as already applied. The context
 // bounds the wait for the event loop (a loaded loop services the request
 // only after the work ahead of it); it returns ErrStopped after the log's
 // node has stopped.
@@ -789,6 +815,9 @@ func (l *Log) DecidedPrefix(ctx context.Context) ([]string, error) {
 			v, ok := l.decided[s]
 			if !ok {
 				break
+			}
+			if f, ok := l.skipped[s]; ok {
+				v = f
 			}
 			out = append(out, v)
 		}
@@ -813,26 +842,48 @@ func (l *Log) DecidedPrefix(ctx context.Context) ([]string, error) {
 }
 
 // SlotCommands expands a decided slot value into its ordered commands: a
-// group-commit value yields the batch's commands (AppendResult.Index is the
-// position within this slice), any other value yields itself. It is the
-// public decoder for values read back through Get on a batching log.
+// group-commit value yields the commands of all its sub-batches in order
+// (AppendResult.Index is the position within this slice), any other value
+// yields itself. It is the public decoder for values read back through Get
+// on a batching log. A later copy of an already-applied sub-batch is
+// listed here like any other but was skipped at apply.
 func SlotCommands(v string) ([]string, error) {
 	if !wire.IsBatch(v) {
 		return []string{v}, nil
 	}
-	return wire.DecodeBatch(v)
+	subs, err := wire.DecodeBatch(v)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(subs) == 1:
+		return subs[0].Cmds, nil
+	}
+	n := 0
+	for _, s := range subs {
+		n += len(s.Cmds)
+	}
+	cmds := make([]string, 0, n)
+	for _, s := range subs {
+		cmds = append(cmds, s.Cmds...)
+	}
+	return cmds, nil
 }
 
 // Stop drains the append buffer (buffered commands get a bounded commit
-// attempt — the close-time flush of group commit), then terminates the
-// shared view synchronizer and every slot instance, and releases blocked
-// calls.
+// attempt — the close-time flush of group commit; whatever is still
+// unapplied then fails with ErrStopped), then terminates the shared view
+// synchronizer and every slot instance, and releases blocked calls.
 func (l *Log) Stop() {
 	if l.batch != nil {
 		l.batch.drainAndClose(5 * time.Second)
 	}
 	l.sync.Stop()
+	ran := false
 	l.n.Call(func() {
+		ran = true
+		if l.batch != nil {
+			l.failOut(ErrStopped)
+		}
 		l.stopped = true
 		for slot, ws := range l.waiters {
 			for _, ch := range ws {
@@ -847,6 +898,9 @@ func (l *Log) Stop() {
 			delete(l.prefixWaiters, slot)
 		}
 	})
+	if !ran && l.batch != nil {
+		l.failOut(ErrStopped) // the node stopped first; its loop has exited
+	}
 	// Release proposal claims parked on the window gate; they observe the
 	// stopped flag on re-check (resolveSlot).
 	l.closeWindowGate()

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
 // Mirrors of the message bodies the protocol packages send (they import
 // wire, so the tests cannot import them): consensus 1B/2A/2B/dec, the
-// replicated log's idle-1B ranges, decs catch-up, checkpoint announcement
-// and snapshot-install, the quorum access functions' requests, responses
+// replicated log's idle-1B ranges, decs catch-up, checkpoint announcement,
+// snapshot-install and sub-batch forwards, the quorum access functions' requests, responses
 // and batched propagation, and the lease manager's ask/ack.
 type (
 	shape1B struct {
@@ -39,10 +40,25 @@ type (
 	shapeCkpt struct {
 		Frontier int64 `json:"f"`
 	}
+	shapeSeqPos struct {
+		Seq   uint64 `json:"q"`
+		Slot  int64  `json:"s"`
+		Index int    `json:"i"`
+	}
+	shapeOriginSeqs struct {
+		Low   uint64        `json:"l"`
+		Above []uint64      `json:"a,omitempty"`
+		Last  []shapeSeqPos `json:"p,omitempty"`
+	}
 	shapeSnap struct {
-		Frontier int64           `json:"f"`
-		State    string          `json:"s,omitempty"`
-		Decs     []shapeDecEntry `json:"d,omitempty"`
+		Frontier int64                       `json:"f"`
+		State    string                      `json:"s,omitempty"`
+		Decs     []shapeDecEntry             `json:"d,omitempty"`
+		Applied  map[uint64]*shapeOriginSeqs `json:"a,omitempty"`
+	}
+	shapeFwd struct {
+		View int64    `json:"v"`
+		Subs []string `json:"s"`
 	}
 	shapeClockResp struct {
 		Seq   int64 `json:"seq"`
@@ -70,18 +86,17 @@ type (
 	}
 )
 
-// batchValue is a group-committed batch of n KV set commands, the value a
-// write-path 2B or decision carries.
+// batchValue is a group-committed batch of n KV set commands, one
+// sub-batch per origin process, the value a write-path 2B or decision
+// carries.
 func batchValue(n int) string {
-	cmds := make([]string, n)
-	for i := range cmds {
-		cmds[i] = fmt.Sprintf(`{"id":"p%d-%d","key":"key-%04d","val":"value-%d"}`, i%4, 1000+i, i*7%1024, i)
+	subs := make([]SubBatch, 4)
+	for i := 0; i < n; i++ {
+		o := i % 4
+		subs[o].Origin, subs[o].Seq = uint64(o), uint64(100+o)
+		subs[o].Cmds = append(subs[o].Cmds, fmt.Sprintf(`{"id":"p%d-%d","key":"key-%04d","val":"value-%d"}`, o, 1000+i, i*7%1024, i))
 	}
-	v, err := EncodeBatch(cmds)
-	if err != nil {
-		panic(err)
-	}
-	return v
+	return EncodeBatch(subs...)
 }
 
 // propBody is a batched qaf propagation of n register states.
@@ -116,7 +131,9 @@ func envelopeShapes() []envelopeShape {
 		{"idle1b", "kv/idle1b", shapeIdle1B{View: 9, Ranges: [][2]int64{{0, 17}, {18, 128}}}},
 		{"decs", "kv/decs", []shapeDecEntry{{Slot: 3, Val: batch}, {Slot: 4, Val: "x"}}},
 		{"ckpt", "kv/ckpt", shapeCkpt{Frontier: 4096}},
-		{"snap", "kv/snap", shapeSnap{Frontier: 64, State: "\x02c1{\"f\":64,\"s\":{\"a\":\"1\"}}", Decs: []shapeDecEntry{{Slot: 64, Val: batch}}}},
+		{"snap", "kv/snap", shapeSnap{Frontier: 64, State: "\x02c1{\"f\":64,\"s\":{\"a\":\"1\"}}", Decs: []shapeDecEntry{{Slot: 64, Val: batch}},
+			Applied: map[uint64]*shapeOriginSeqs{2: {Low: 40, Above: []uint64{42}, Last: []shapeSeqPos{{Seq: 42, Slot: 63, Index: 5}}}}}},
+		{"fwd", "kv/fwd", shapeFwd{View: 9, Subs: []string{EncodeBatch(SubBatch{Origin: 1, Seq: 7, Cmds: []string{`{"id":"p1-3","key":"k","val":"v"}`}})}}},
 		{"clock-req", "reg7/clock_req", map[string]int64{"seq": 42}},
 		{"clock-resp", "reg7/clock_resp", shapeClockResp{Seq: 42, Clock: 99}},
 		{"get-resp", "reg7/get_resp", shapeGetResp{State: []byte(`{"val":"v","ver":{"num":3,"proc":1}}`), Clock: 99}},
@@ -238,4 +255,57 @@ func compact(t *testing.T, b []byte) string {
 		t.Fatalf("compact %q: %v", b, err)
 	}
 	return buf.String()
+}
+
+// FuzzDecodeBatch feeds arbitrary bytes to the batch value decoder: it never
+// panics, the commands it returns fit inside the input, and whatever it
+// accepts re-encodes to a value that decodes to the same sub-batches.
+// Values produced by EncodeBatch round-trip exactly.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(batchValue(8))
+	f.Add(batchValue(1))
+	f.Add(EncodeBatch())
+	f.Add(EncodeBatch(SubBatch{Origin: 1 << 40, Seq: 1<<64 - 1, Cmds: []string{"", "\x01b2", "x"}}))
+	f.Add(JoinBatches([]string{batchValue(2), batchValue(3)}))
+	f.Add("\x01b1[\"old\",\"format\"]")
+	f.Add("\x01b2" + "1:2:5:1:a")
+	f.Add("\x01b2" + "99999999999999999999:1:0:")
+	f.Add("plain")
+	f.Fuzz(func(t *testing.T, v string) {
+		subs, err := DecodeBatch(v)
+		if err != nil {
+			return
+		}
+		total := len(batchMagic)
+		for _, s := range subs {
+			total += 6 // every header number takes a digit and its ':'
+			for _, c := range s.Cmds {
+				total += 2 + len(c)
+			}
+		}
+		if total > len(v) {
+			t.Fatalf("decoded %d bytes of sub-batches out of a %d-byte value", total, len(v))
+		}
+		again, err := DecodeBatch(EncodeBatch(subs...))
+		if err != nil {
+			t.Fatalf("re-encoded batch rejected: %v", err)
+		}
+		if !reflect.DeepEqual(normalize(again), normalize(subs)) {
+			t.Fatalf("re-encoded batch decodes to %v, want %v", again, subs)
+		}
+		if w := EncodeBatch(subs...); len(w) > len(v) {
+			t.Fatalf("canonical encoding %d bytes longer than the %d-byte input", len(w), len(v))
+		}
+	})
+}
+
+// normalize maps empty command lists to nil so decoded and re-decoded
+// sub-batches compare equal.
+func normalize(subs []SubBatch) []SubBatch {
+	for i := range subs {
+		if len(subs[i].Cmds) == 0 {
+			subs[i].Cmds = nil
+		}
+	}
+	return subs
 }

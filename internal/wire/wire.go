@@ -15,6 +15,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -94,33 +97,73 @@ func Marshal(topic string, body any) ([]byte, error) {
 	return out, nil
 }
 
-// batchMagic prefixes a group-committed command batch travelling as one
-// opaque consensus value (see smr's group commit). Byte 0x01 cannot open a
-// JSON document, so a batch is always distinguishable from the JSON-encoded
-// single commands the SMR layers store; callers of EncodeBatch must not
-// feed it commands that themselves start with 0x01.
-const batchMagic = "\x01b1"
+// batchMagic prefixes a group-committed batch travelling as one opaque
+// consensus value (see smr's group commit). Byte 0x01 cannot open a JSON
+// document, so a batch is always distinguishable from the JSON-encoded
+// single commands the SMR layers store. The version byte distinguishes this
+// length-prefixed format from the JSON-array batches of "\x01b1": a value
+// in the old format is rejected, never misread.
+const batchMagic = "\x01b2"
 
-// EncodeBatch packs an ordered command batch into one opaque value using
-// the pooled encoder (one pass, no intermediate slices). The encoding is
-// batchMagic followed by the JSON array of commands; order is preserved.
-func EncodeBatch(cmds []string) (string, error) {
-	for i, c := range cmds {
-		if len(c) > 0 && c[0] == batchMagic[0] {
-			return "", fmt.Errorf("batch command %d starts with the reserved batch-marker byte 0x01", i)
+// SubBatch is one origin's cut of commands inside a batch value: Origin
+// identifies the process that accepted the commands and Seq numbers its
+// cuts, so a sub-batch committed twice can be recognised and skipped.
+type SubBatch struct {
+	Origin uint64
+	Seq    uint64
+	Cmds   []string
+}
+
+// EncodeBatch packs sub-batches into one batch value: batchMagic, then per
+// sub-batch its origin, seq and command count, then each command as its
+// length and its bytes. Every number is decimal and ends with ':'. Values
+// travel inside JSON strings, which replace bytes that are not valid UTF-8,
+// so the framing is plain ASCII (needing no escapes either); the commands
+// themselves travel as they would alone. Order is preserved.
+func EncodeBatch(subs ...SubBatch) string {
+	const maxNum = 21 // 20 digits of a uint64 plus ':'
+	n := len(batchMagic)
+	for _, s := range subs {
+		n += 3 * maxNum
+		for _, c := range s.Cmds {
+			n += maxNum + len(c)
 		}
 	}
-	e := encPool.Get().(*encoder)
-	e.buf.Reset()
-	e.buf.WriteString(batchMagic)
-	if err := e.js.Encode(cmds); err != nil {
-		encPool.Put(e)
-		return "", fmt.Errorf("marshal command batch: %w", err)
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(batchMagic)
+	var tmp [maxNum]byte
+	put := func(x uint64) { b.Write(append(strconv.AppendUint(tmp[:0], x, 10), ':')) }
+	for _, s := range subs {
+		put(s.Origin)
+		put(s.Seq)
+		put(uint64(len(s.Cmds)))
+		for _, c := range s.Cmds {
+			put(uint64(len(c)))
+			b.WriteString(c)
+		}
 	}
-	e.buf.Truncate(e.buf.Len() - 1) // drop the Encoder's trailing newline
-	out := e.buf.String()           // String copies; the pooled buffer may be reused
-	encPool.Put(e)
-	return out, nil
+	return b.String()
+}
+
+// JoinBatches concatenates valid batch values into one whose sub-batches
+// are theirs, in order. The format makes this a byte concatenation: no
+// command is decoded or copied twice.
+func JoinBatches(vals []string) string {
+	if len(vals) == 1 {
+		return vals[0]
+	}
+	n := len(batchMagic)
+	for _, v := range vals {
+		n += len(v) - len(batchMagic)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(batchMagic)
+	for _, v := range vals {
+		b.WriteString(v[len(batchMagic):])
+	}
+	return b.String()
 }
 
 // IsBatch reports whether a decided value is a batch produced by
@@ -129,16 +172,57 @@ func IsBatch(v string) bool {
 	return len(v) >= len(batchMagic) && v[:len(batchMagic)] == batchMagic
 }
 
-// DecodeBatch unpacks a batch value into its ordered commands.
-func DecodeBatch(v string) ([]string, error) {
+// DecodeBatch unpacks a batch value into its sub-batches. The commands are
+// substrings of v; nothing reaches past its end.
+func DecodeBatch(v string) ([]SubBatch, error) {
 	if !IsBatch(v) {
 		return nil, fmt.Errorf("not a batch value (missing marker)")
 	}
-	var cmds []string
-	if err := json.Unmarshal([]byte(v[len(batchMagic):]), &cmds); err != nil {
-		return nil, fmt.Errorf("unmarshal command batch: %w", err)
+	var subs []SubBatch
+	for p := v[len(batchMagic):]; len(p) > 0; {
+		var s SubBatch
+		var n uint64
+		var ok bool
+		if s.Origin, p, ok = number(p); !ok {
+			return nil, fmt.Errorf("batch sub-batch %d: bad origin", len(subs))
+		}
+		if s.Seq, p, ok = number(p); !ok {
+			return nil, fmt.Errorf("batch sub-batch %d: bad seq", len(subs))
+		}
+		// Every command takes at least two bytes of length, which bounds
+		// the allocation by the input size.
+		if n, p, ok = number(p); !ok || n > uint64(len(p))/2 {
+			return nil, fmt.Errorf("batch sub-batch %d: bad command count", len(subs))
+		}
+		s.Cmds = make([]string, n)
+		for i := range s.Cmds {
+			var l uint64
+			if l, p, ok = number(p); !ok || l > uint64(len(p)) {
+				return nil, fmt.Errorf("batch sub-batch %d: command %d overruns the value", len(subs), i)
+			}
+			s.Cmds[i], p = p[:l], p[l:]
+		}
+		subs = append(subs, s)
 	}
-	return cmds, nil
+	return subs, nil
+}
+
+// number reads one ':'-terminated decimal off the front of p, rejecting an
+// empty, unterminated or overflowing one.
+func number(p string) (uint64, string, bool) {
+	var x uint64
+	for i := 0; i < len(p); i++ {
+		c := p[i]
+		if c == ':' && i > 0 {
+			return x, p[i+1:], true
+		}
+		d := uint64(c - '0')
+		if c < '0' || c > '9' || x > (math.MaxUint64-d)/10 {
+			return 0, p, false
+		}
+		x = x*10 + d
+	}
+	return 0, p, false
 }
 
 // checkpointMagic prefixes a serialized KV checkpoint travelling as one
