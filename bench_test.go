@@ -338,12 +338,12 @@ func BenchmarkWorkloadRegisterUnderF1(b *testing.B) {
 //
 // These two targets are the committed throughput trajectory of the
 // replicated-log hot path: single-group KV writes at a pinned 1ms one-way
-// delay, unbatched vs group-committed at equal client concurrency. The CI
-// bench-trend job runs them with a pinned -benchtime, extracts the ops/sec
-// metric and fails the build if either regresses >30% against the
-// ci_baselines section of BENCH_batching.json (cmd/benchtrend). Keep the
-// configs in lockstep with those baselines: changing a knob here without
-// re-measuring the baseline makes the trend check meaningless.
+// delay, one command per slot vs group-committed at equal client
+// concurrency. The CI bench-trend job runs them with a pinned -benchtime,
+// extracts the ops/sec metric and fails the build if either regresses >30%
+// against the ci_baselines section of BENCH_batching.json (cmd/benchtrend).
+// Keep the configs in lockstep with those baselines: changing a knob here
+// without re-measuring the baseline makes the trend check meaningless.
 
 func benchKVWrite1ms(b *testing.B, batch int, compact bool) {
 	skipHeavyBenchShort(b)
@@ -359,9 +359,9 @@ func benchKVWrite1ms(b *testing.B, batch int, compact bool) {
 		Duration:     1500 * time.Millisecond,
 		Warmup:       300 * time.Millisecond,
 		OpTimeout:    20 * time.Second,
+		Batch:        batch,
 	}
 	if batch > 1 {
-		cfg.Batch = batch
 		cfg.BatchWindow = time.Millisecond
 		cfg.Pipeline = 4
 	}
@@ -391,9 +391,9 @@ func benchKVWrite1ms(b *testing.B, batch int, compact bool) {
 	}
 }
 
-// BenchmarkKVWrite1msUnbatched — the RTT-bound baseline: one consensus
-// round per Set.
-func BenchmarkKVWrite1msUnbatched(b *testing.B) { benchKVWrite1ms(b, 1, false) }
+// BenchmarkKVWrite1msOnePerSlot — the RTT-bound baseline: group commit
+// capped at one command per slot, one consensus round per Set.
+func BenchmarkKVWrite1msOnePerSlot(b *testing.B) { benchKVWrite1ms(b, 1, false) }
 
 // BenchmarkKVWrite1msBatched64 — group commit at batch 64, window 1ms,
 // pipeline 4: one round carries up to 64 Sets.

@@ -37,11 +37,15 @@
 // per-shard sections. Combined with -pattern, the fault is injected into
 // shard 0 only — the other shards demonstrate fault isolation.
 //
-// A -batch N run (kv only) enables group commit: Sets arriving within
-// -batch-window coalesce into one consensus round carrying up to N
-// commands, and -pipeline bounds how many batches stay in flight (and how
-// many writes each client keeps outstanding). This lifts the per-group
-// RTT ceiling on write throughput — see the README's batching section.
+// Every kv write goes through group commit: Sets arriving within
+// -batch-window coalesce into one consensus round carrying up to -batch
+// commands, and -pipeline bounds how many batches stay in flight (and,
+// above 1, how many writes each client keeps outstanding). -batch N above 1
+// defaults the window to 1ms and -pipeline to 4; -batch 1 puts every Set in
+// its own slot; without the flags the smr defaults apply (up to 64 Sets
+// per slot, no window) and clients stay synchronous. Batching lifts the
+// per-group RTT ceiling on write throughput — see the README's batching
+// section.
 //
 // A -compact run (kv only) enables checkpointed log compaction: each shard
 // group folds its applied state into periodic checkpoints (cadence derived
@@ -113,9 +117,9 @@ func run(args []string, w io.Writer) error {
 	faultAt := fs.Float64("fault-at", 0.5, "fraction of the run after which the pattern is injected (0 = at start)")
 	uf := fs.Bool("uf", false, "restrict clients to the pattern's termination component U_f")
 	shards := fs.Int("shards", 1, "independent quorum-system groups the kv keyspace is consistent-hashed across")
-	batch := fs.Int("batch", 0, "max Sets per group-commit consensus round (kv protocol; 0/1 = unbatched)")
-	batchWindow := fs.Duration("batch-window", 0, "group-commit coalescing window (kv; 0 = default 1ms when -batch is set)")
-	pipeline := fs.Int("pipeline", 0, "batches kept in flight / async writes outstanding per client (kv; 0 = default 4 when -batch is set)")
+	batch := fs.Int("batch", 0, "max Sets per group-commit consensus round (kv protocol; 0 = default 64, 1 = one Set per slot)")
+	batchWindow := fs.Duration("batch-window", 0, "group-commit coalescing window (kv; 0 = default 1ms when -batch > 1, none otherwise)")
+	pipeline := fs.Int("pipeline", 0, "batches kept in flight / async writes outstanding per client (kv; 0 = default 4, clients synchronous unless -batch > 1)")
 	slots := fs.Int("slots", 0, "total SMR log capacity, divided across shards (kv protocol; 0 = default 4096)")
 	latticePool := fs.Int("lattice-pool", 0, "single-shot lattice object pool size (lattice protocol; 0 = default 8)")
 	compact := fs.Bool("compact", false, "checkpointed log compaction: recycle decided slots so sustained writes outlive -slots (kv protocol; report gains a compaction section)")
@@ -192,9 +196,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *batch < 0 || *pipeline < 0 || *batchWindow < 0 {
 		reject("-batch/-batch-window/-pipeline must be non-negative")
-	}
-	if set["batch-window"] && *batch <= 1 {
-		reject("-batch-window needs group commit enabled (-batch > 1)")
 	}
 	if set["lattice-pool"] && *protocol != "lattice" {
 		reject("-lattice-pool applies to -protocol lattice only (got %q)", *protocol)

@@ -107,7 +107,6 @@ func TestRunFlagCombinationValidation(t *testing.T) {
 		{"pipeline with snapshot", []string{"-protocol", "snapshot", "-pipeline", "4", "-duration", "10ms"}},
 		{"negative batch", []string{"-protocol", "kv", "-batch", "-1", "-duration", "10ms"}},
 		{"negative pipeline", []string{"-protocol", "kv", "-pipeline", "-2", "-duration", "10ms"}},
-		{"batch-window without batch", []string{"-protocol", "kv", "-batch-window", "2ms", "-duration", "10ms"}},
 		{"lease with register", []string{"-protocol", "register", "-lease", "1s", "-duration", "10ms"}},
 		{"negative lease", []string{"-protocol", "kv", "-lease", "-1s", "-duration", "10ms"}},
 		{"compact with register", []string{"-protocol", "register", "-compact", "-duration", "10ms"}},
@@ -126,6 +125,11 @@ func TestRunFlagCombinationValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), "invalid flags") {
 			t.Errorf("%s: rejected by the engine, not flag validation: %v", tc.name, err)
 		}
+	}
+	// A bare window is honoured: every kv write goes through group commit.
+	args := []string{"-protocol", "kv", "-batch-window", "2ms", "-clients", "1", "-duration", "10ms"}
+	if err := run(args, &bytes.Buffer{}); err != nil {
+		t.Errorf("batch-window without batch: args %v rejected: %v", args, err)
 	}
 }
 

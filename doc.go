@@ -30,12 +30,12 @@
 //     access functions), NewSnapshot, NewLatticeAgreement, NewConsensus
 //     (Figure 6), and the replicated log / KV layer (NewReplicatedLog,
 //     NewReplicatedKV);
-//   - group-commit batching and pipelined appends on the log/KV hot path
-//     (WithBatch, WithPipeline, BatchOptions; KV SetMany/SetAsync with
-//     per-op completion): commands arriving within a window coalesce into
-//     one consensus round and consecutive batches' rounds overlap, lifting
-//     the per-group RTT ceiling ~20x at ms delays (see README "Batching &
-//     pipelining" and BENCH_batching.json);
+//   - group commit and pipelined appends, the log/KV's only append path
+//     (tuned by WithBatch, WithPipeline, BatchOptions; KV SetMany/SetAsync
+//     with per-op completion): commands arriving within a window coalesce
+//     into one consensus round and consecutive batches' rounds overlap,
+//     lifting the per-group RTT ceiling ~20x at ms delays (see README
+//     "Batching & pipelining" and BENCH_batching.json);
 //   - the fast linearizable read path (WithLease, WithLeaseHolder,
 //     LeaseManager, ReadBarrier; KV SyncGet): a replica holding a read
 //     lease — granted via committed log entries, validity guarded by a

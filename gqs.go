@@ -149,9 +149,9 @@ type (
 	ReplicatedLogOptions = smr.Options
 	// ReplicatedKV is a linearizable key-value store over the replicated log.
 	ReplicatedKV = smr.KV
-	// BatchOptions configures group-commit batching and pipelined appends on
-	// a replicated log (ReplicatedLogOptions.Batch, or WithBatch/WithPipeline
-	// on a cluster).
+	// BatchOptions tunes group commit and pipelined appends, the only
+	// append path of a replicated log (ReplicatedLogOptions.Batch, or
+	// WithBatch/WithPipeline on a cluster); the zero value takes defaults.
 	BatchOptions = smr.BatchOptions
 	// CompactionOptions configures checkpointed log compaction on a
 	// replicated log (ReplicatedLogOptions.Compaction, or WithCompaction /
@@ -227,10 +227,10 @@ var (
 	WithViewC = core.WithViewC
 	// WithSlots sets replicated log/KV capacity.
 	WithSlots = core.WithSlots
-	// WithBatch enables group-commit batching on provisioned logs/KV stores:
-	// commands arriving within the window (or until the op cap) coalesce
-	// into one consensus round. WithPipeline sets how many batches stay in
-	// flight across consecutive slots.
+	// WithBatch tunes group commit on provisioned logs/KV stores: commands
+	// arriving within the window (or until the op cap) coalesce into one
+	// consensus round. WithPipeline sets how many batches stay in flight
+	// across consecutive slots. Zeros take the smr defaults.
 	WithBatch    = core.WithBatch
 	WithPipeline = core.WithPipeline
 	// WithCompaction enables checkpointed log compaction on provisioned
@@ -356,9 +356,8 @@ var (
 	NewReplicatedLog = smr.New
 	// NewReplicatedKV installs a replicated key-value store on a node.
 	NewReplicatedKV = smr.NewKV
-	// SlotCommands expands a decided log slot value into its ordered
-	// commands (a group-commit batch yields all of them, any other value
-	// yields itself).
+	// SlotCommands expands a decided log slot value (a group-commit batch)
+	// into its ordered commands.
 	SlotCommands = smr.SlotCommands
 	// EncodeSet / EncodeVec build lattice elements.
 	EncodeSet = lattice.EncodeSet

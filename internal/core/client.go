@@ -396,11 +396,11 @@ type LogClient struct {
 	eps []*smr.Log
 }
 
-// Append commits cmd and returns the slot it occupies. Commands must be
-// unique across clients (see smr.Log.Append). Append never fails over: an
-// attempt that errors mid-protocol may still commit later, and re-submitting
-// the identical command at another process could commit it into two slots,
-// violating the log's uniqueness contract.
+// Append commits cmd and returns the slot where it was first applied.
+// Append never fails over: an attempt that errors mid-protocol may still
+// commit later, and re-submitting the command at another process makes it
+// a new sub-batch there, which would commit it twice (exactly-once client
+// sessions would lift this).
 func (lc *LogClient) Append(ctx context.Context, cmd string) (int64, error) {
 	var slot int64
 	err := lc.doNoFailover(ctx, func(ctx context.Context, p int) error {
@@ -414,11 +414,10 @@ func (lc *LogClient) Append(ctx context.Context, cmd string) (int64, error) {
 }
 
 // Get returns the decision of a slot, blocking until it is decided at the
-// routed process. With the cluster's batching enabled a slot's decision may
-// be an opaque group-commit value carrying several commands; expand it with
-// smr.SlotCommands (re-exported as gqs.SlotCommands). A sub-batch re-sent
-// after a view change can appear in two slots' values; its later copy was
-// skipped at apply.
+// routed process. A slot's decision is a group-commit batch value carrying
+// one or more commands; expand it with smr.SlotCommands (re-exported as
+// gqs.SlotCommands). A sub-batch re-sent after a view change can appear in
+// two slots' values; its later copy was skipped at apply.
 func (lc *LogClient) Get(ctx context.Context, slot int64) (string, error) {
 	var v string
 	err := lc.do(ctx, func(ctx context.Context, p int) error {
@@ -511,9 +510,9 @@ func (kc *KVClient) Set(ctx context.Context, key, val string) (int64, error) {
 }
 
 // SetMany commits every pair at one routed process and returns the slot of
-// each pair, aligned with the input order. With the cluster's batching
-// enabled (WithBatch), the pairs coalesce into as few group commits as the
-// batch caps allow — a k-write call costs ~1 consensus round instead of k.
+// each pair, aligned with the input order. The pairs coalesce into as few
+// group commits as the batch caps allow (WithBatch) — a k-write call costs
+// ~1 consensus round instead of k.
 // The pairs are concurrent writes: only pairs sharing one group commit are
 // ordered among themselves (see smr.KV.SetMany for the ordering contract).
 // Like Set it never fails over; the routed attempt's partial results are

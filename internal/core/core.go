@@ -119,21 +119,16 @@ func WithSlots(n int) Option {
 	return func(c *config) { c.slots = n }
 }
 
-// WithBatch enables group-commit batching on the replicated logs (and KV
-// stores) provisioned by this cluster: commands arriving within window
-// coalesce into one consensus instance carrying up to maxOps commands (zero
-// accepts the smr defaults), amortizing the round trip over the batch. See
-// smr.BatchOptions; combine with WithPipeline to overlap consecutive
-// batches' rounds.
+// WithBatch tunes group commit, the only append path of the replicated
+// logs (and KV stores) provisioned by this cluster: commands arriving
+// within window coalesce into one consensus instance carrying up to maxOps
+// commands, amortizing the round trip over the batch. Zero takes the smr
+// default for either (no window, 64 commands); maxOps 1 gives every
+// command its own slot. See smr.BatchOptions and WithPipeline.
 func WithBatch(window time.Duration, maxOps int) Option {
 	return func(c *config) {
 		c.batch.Window = window
 		c.batch.MaxOps = maxOps
-		if window <= 0 && maxOps <= 0 {
-			// Explicit zeros still opt in: WithBatch(0, 0) means "batching on
-			// with defaults" rather than a no-op.
-			c.batch.MaxOps = smr.DefaultBatchMaxOps
-		}
 	}
 }
 
@@ -151,15 +146,9 @@ func WithCompaction(o smr.CompactionOptions) Option {
 
 // WithPipeline sets how many append batches a provisioned log keeps in
 // flight concurrently (consecutive slots pipelining their consensus
-// rounds). Implies WithBatch's defaults when batching was not otherwise
-// configured.
+// rounds). Zero takes the smr default (4).
 func WithPipeline(n int) Option {
-	return func(c *config) {
-		c.batch.Pipeline = n
-		if c.batch.MaxOps == 0 && c.batch.Window == 0 {
-			c.batch.MaxOps = smr.DefaultBatchMaxOps
-		}
-	}
+	return func(c *config) { c.batch.Pipeline = n }
 }
 
 // WithLease enables leased local reads on the KV stores provisioned by

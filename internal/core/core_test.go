@@ -256,8 +256,12 @@ func TestClusterProvisionsAllSixKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := log.Get(ctx, slot); err != nil || v != "cmd-0" {
-		t.Fatalf("log get %q, %v", v, err)
+	v, err := log.Get(ctx, slot)
+	if err != nil {
+		t.Fatalf("log get: %v", err)
+	}
+	if cmds, err := smr.SlotCommands(v); err != nil || len(cmds) != 1 || cmds[0] != "cmd-0" {
+		t.Fatalf("log get %q: commands %q, %v", v, cmds, err)
 	}
 
 	kv, err := c.KV("k")
@@ -667,5 +671,31 @@ func TestKVClientSetManyBatched(t *testing.T) {
 	v, ok, err = kv.SyncGet(ctx, "z")
 	if err != nil || !ok || v != "9" {
 		t.Fatalf(`syncget "z" = %q/%v/%v, want "9"`, v, ok, err)
+	}
+}
+
+// TestKVClientSetManyDefaultsGroupCommit: group commit is the only append
+// path, so with no WithBatch a 64-pair SetMany still shares slots.
+func TestKVClientSetManyDefaultsGroupCommit(t *testing.T) {
+	c := openFigure1(t)
+	kv, err := c.KV("defaults")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := ctxSec(t, 60)
+	pairs := make([]smr.KVPair, 64)
+	for i := range pairs {
+		pairs[i] = smr.KVPair{Key: fmt.Sprintf("k%d", i), Val: fmt.Sprint(i)}
+	}
+	slots, err := kv.SetMany(ctx, pairs)
+	if err != nil {
+		t.Fatalf("setmany: %v", err)
+	}
+	distinct := map[int64]bool{}
+	for _, s := range slots {
+		distinct[s] = true
+	}
+	if len(distinct) >= len(pairs) {
+		t.Fatalf("%d pairs committed into %d distinct slots, want fewer", len(pairs), len(distinct))
 	}
 }

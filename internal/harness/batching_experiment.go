@@ -10,9 +10,9 @@ import (
 
 // E19BatchingSweep measures group-commit batching and pipelined appends on
 // a single quorum-system group (internal/smr batch.go): write throughput vs
-// the batch-size cap at a fixed 1ms one-way delay. Unbatched (batch=1),
-// every Set is one consensus round and throughput is pinned near 1/RTT per
-// outstanding slot; with group commit one round carries the whole batch, so
+// the batch-size cap at a fixed 1ms one-way delay. At batch=1 every Set
+// gets its own slot and throughput is pinned near 1/RTT per outstanding
+// slot; with group commit one round carries the whole batch, so
 // the ceiling rises with the batch size until the 1-CPU host (not the
 // network) saturates. Delays are pinned (min = max = 1ms) so the sweep is
 // latency-bound and the speedup column measures round-trip amortization,
@@ -45,8 +45,8 @@ func E19BatchingSweep(ctx context.Context, cfg Config) (*Table, error) {
 	var base1 float64
 	for _, batch := range []int{1, 4, 16, 64} {
 		wc := base
+		wc.Batch = batch
 		if batch > 1 {
-			wc.Batch = batch
 			wc.BatchWindow = time.Millisecond
 			wc.Pipeline = 4
 		}
@@ -72,6 +72,6 @@ func E19BatchingSweep(ctx context.Context, cfg Config) (*Table, error) {
 			speedup,
 		)
 	}
-	t.AddNote("Equal client concurrency (64) on one Figure-1 group; batch=1 is the unbatched baseline (one consensus round per Set). Group commit coalesces Sets arriving within 1ms (pipeline 4 batches in flight), so one round carries up to `batch` commands — the RTT ceiling becomes an RTT/batch ceiling. BENCH_batching.json records the committed sweep.")
+	t.AddNote("Equal client concurrency (64) on one Figure-1 group; batch=1 is one command per slot (one consensus round per Set). Group commit coalesces Sets arriving within 1ms (pipeline 4 batches in flight), so one round carries up to `batch` commands — the RTT ceiling becomes an RTT/batch ceiling. BENCH_batching.json records the committed sweep.")
 	return t, nil
 }

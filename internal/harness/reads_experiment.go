@@ -11,11 +11,11 @@ import (
 // E20ReadPathSweep measures the linearizable read paths on a single
 // quorum-system group (internal/lease): a read-heavy (0.95) Zipf mix at a
 // fixed 1ms one-way delay, barrier-per-read vs leased local reads. With a
-// barrier per read, every linearizable read is one consensus round (a
-// private Sync no-op commit) and read throughput is pinned near the RTT
-// like unbatched writes; with a read lease, reads at the holder are served
-// straight from the applied state with no round at all and reads elsewhere
-// share coalesced barrier commits. Delays are pinned (min = max = 1ms) so
+// barrier per read, every linearizable read commits its own Sync no-op, so
+// read throughput is bound by consensus rounds (group commit shares a
+// round among concurrent barriers, as it does writes); with a read lease,
+// reads at the holder are served straight from the applied state with no
+// round at all and reads elsewhere share coalesced barrier commits. Delays are pinned (min = max = 1ms) so
 // the sweep is latency-bound and the speedup column measures rounds
 // avoided, not simulator scheduling. Client concurrency is equal across
 // rows — exactly the comparison the read-path acceptance criterion names.

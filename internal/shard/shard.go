@@ -271,8 +271,8 @@ func (kv *KV) Set(ctx context.Context, key, val string) (int64, error) {
 
 // SetAsync submits key=val in the key's shard and returns a channel
 // receiving its completion (see core.KVClient.SetAsync): pipelined writes
-// to one shard share group commits when the groups were opened with
-// batching (core.WithBatch via WithGroupOptions).
+// to one shard share group commits (tuned by core.WithBatch via
+// WithGroupOptions).
 func (kv *KV) SetAsync(ctx context.Context, key, val string) <-chan smr.SetResult {
 	return kv.forKey(key).SetAsync(ctx, key, val)
 }

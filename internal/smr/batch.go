@@ -13,12 +13,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Group-commit batching with a single proposer per view. With
-// Options.Batch enabled, Append no longer runs one consensus round per
-// command: commands arriving within a short window (or until a count/byte
-// cap) are cut into a sub-batch, and the view's leader packs the sub-batches
-// of every process into one slot value that a single consensus instance
-// decides, amortizing the round trip over every command in it.
+// Group commit with a single proposer per view, the log's only append path.
+// Commands arriving while a cut is forming (or until a count/byte cap) are
+// cut into a sub-batch, and the view's leader packs the sub-batches of
+// every process into one slot value that a single consensus instance
+// decides, amortizing the round trip over every command in it. MaxOps 1
+// gives each command its own slot.
 //
 // Figure 6's consensus is leader-driven, so only the leader of this
 // process's current view claims log slots. A non-leader sends each cut to
@@ -57,10 +57,10 @@ import (
 // (accepted-value precedence, quorum intersection) is exactly the paper's.
 // This file only restricts who proposes and what a value contains.
 
-// BatchOptions configures group-commit batching of Log.Append. The zero
-// value disables batching (every Append proposes alone, the pre-batching
-// behavior). Batching is enabled when Window or MaxOps is positive. All
-// processes of one log must agree on it.
+// BatchOptions tunes group commit, the one append path of the log. Each
+// zero field takes its default: MaxOps DefaultBatchMaxOps, MaxBytes
+// DefaultBatchMaxBytes, Pipeline DefaultPipeline and no Window (cut as soon
+// as the pipeline has room). All processes of one log must agree on it.
 type BatchOptions struct {
 	// Window bounds how long the first buffered command waits for company
 	// when the log is otherwise quiet: a batch forming while no drain is
@@ -70,11 +70,11 @@ type BatchOptions struct {
 	// room, so light-load appends never wait longer than the window. The
 	// leader bounds its own gathering the same way: with claims in flight,
 	// queued sub-batches wait at most one window for company before a new
-	// slot is claimed (see pump). Zero with MaxOps set skips both waits.
+	// slot is claimed (see pump). Zero skips both waits.
 	Window time.Duration
 	// MaxOps caps the commands per cut and per slot value; a full buffer
-	// flushes immediately. Defaults to DefaultBatchMaxOps when batching is
-	// enabled.
+	// flushes immediately. Defaults to DefaultBatchMaxOps; 1 puts each
+	// command in its own slot.
 	MaxOps int
 	// MaxBytes flushes early once the buffered commands' combined size
 	// reaches it, and bounds the value the leader packs into one slot.
@@ -90,15 +90,12 @@ type BatchOptions struct {
 	Clock clock.Clock
 }
 
-// Batching defaults.
+// Group-commit defaults.
 const (
 	DefaultBatchMaxOps   = 64
 	DefaultBatchMaxBytes = 256 << 10
 	DefaultPipeline      = 4
 )
-
-// enabled reports whether the options turn batching on.
-func (o BatchOptions) enabled() bool { return o.Window > 0 || o.MaxOps > 0 }
 
 func (o BatchOptions) withDefaults() BatchOptions {
 	if o.MaxOps <= 0 {
@@ -116,8 +113,7 @@ func (o BatchOptions) withDefaults() BatchOptions {
 
 // AppendResult is the completion of an asynchronous append: the slot where
 // the command was first applied, the command's index in SlotCommands of
-// that slot's value (0 for an unbatched append), and the error if the
-// append failed.
+// that slot's value, and the error if the append failed.
 type AppendResult struct {
 	Slot  int64
 	Index int
@@ -830,17 +826,11 @@ func (l *Log) applyBatch(slot int64, v string) string {
 		return v
 	}
 	self := uint64(l.n.ID())
-	keep := DefaultPipeline
-	if l.batch != nil {
-		keep = l.batch.opts.Pipeline
-	}
 	var fresh []wire.SubBatch // built once a duplicate shows up
 	index := 0
 	for i, s := range subs {
 		k := subKey{s.Origin, s.Seq}
-		if l.batch != nil {
-			delete(l.batch.queued, k)
-		}
+		delete(l.batch.queued, k)
 		if l.isApplied(k) {
 			if fresh == nil {
 				fresh = append(make([]wire.SubBatch, 0, len(subs)), subs[:i]...)
@@ -851,8 +841,8 @@ func (l *Log) applyBatch(slot int64, v string) string {
 				o = &originSeqs{}
 				l.appliedSubs[s.Origin] = o
 			}
-			o.add(seqPos{Seq: s.Seq, Slot: slot, Index: index}, keep)
-			if s.Origin == self && l.batch != nil {
+			o.add(seqPos{Seq: s.Seq, Slot: slot, Index: index}, l.batch.opts.Pipeline)
+			if s.Origin == self {
 				l.firstApplied = append(l.firstApplied, ownDone{seq: s.Seq, slot: slot, index: index})
 			}
 			if fresh != nil {

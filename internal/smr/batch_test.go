@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/quorum"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // newBatchedCluster builds the Figure-1 log cluster with group-commit
@@ -335,13 +337,26 @@ func TestBatchCanceledAppendWithdraws(t *testing.T) {
 	}
 }
 
-// TestBatchRejectsReservedByte: commands opening with the batch marker are
-// rejected before they can corrupt the flattened prefix.
-func TestBatchRejectsReservedByte(t *testing.T) {
-	c := newBatchedCluster(t, 8, BatchOptions{Window: time.Millisecond})
+// TestAppendAcceptsMarkerByte: batch values length-prefix their commands,
+// so a command opening with the batch marker byte — even one spelling a
+// whole batch header — commits and reads back byte for byte. Only the empty
+// command is rejected.
+func TestAppendAcceptsMarkerByte(t *testing.T) {
+	c := newSMRCluster(t, false)
 	defer c.stop()
-	if _, err := c.logs[0].Append(context.Background(), "\x01evil"); err == nil {
-		t.Fatal("reserved-byte command accepted")
+	ctx := ctxSec(t, 60)
+	cmds := []string{"\x01evil", wire.EncodeBatch(wire.SubBatch{Origin: 3, Seq: 1, Cmds: []string{"inner"}})}
+	for _, cmd := range cmds {
+		if _, err := c.logs[0].Append(ctx, cmd); err != nil {
+			t.Fatalf("append %q: %v", cmd, err)
+		}
+	}
+	prefix, err := c.logs[0].DecidedPrefix(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(prefix, cmds) {
+		t.Fatalf("prefix = %q, want %q", prefix, cmds)
 	}
 	if r := <-c.logs[0].AppendAsync(context.Background(), ""); r.Err == nil {
 		t.Fatal("empty command accepted")

@@ -2,6 +2,8 @@ package smr
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/quorum"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // BenchmarkLogAppendBatched measures batched appends on the Figure-1
@@ -45,4 +48,35 @@ func BenchmarkLogAppendBatched(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkKVApply measures the KV apply rung: KV.applySlot folding one
+// decided group-commit value — 64 Set commands packed by the leader from
+// four origins' sub-batches of 16 — into the applied map. One op is one
+// slot.
+func BenchmarkKVApply(b *testing.B) {
+	const origins, perOrigin = 4, DefaultBatchMaxOps / 4
+	subs := make([]wire.SubBatch, origins)
+	for o := range subs {
+		subs[o] = wire.SubBatch{Origin: uint64(o), Seq: 1}
+		for i := 0; i < perOrigin; i++ {
+			n := o*perOrigin + i
+			raw, err := json.Marshal(kvCommand{Key: fmt.Sprintf("key-%04d", n), Val: fmt.Sprintf("value-%d", n)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			subs[o].Cmds = append(subs[o].Cmds, string(raw))
+		}
+	}
+	v := wire.EncodeBatch(subs...)
+	kv := &KV{applied: make(map[string]string)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kv.applySlot(int64(i), v)
+	}
+	b.StopTimer()
+	if kv.corrupt != nil || len(kv.applied) != origins*perOrigin {
+		b.Fatalf("applied %d keys, corrupt %v", len(kv.applied), kv.corrupt)
+	}
 }

@@ -1,7 +1,6 @@
 package smr
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"time"
@@ -167,43 +166,10 @@ func (l *Log) slotAt(slot int64) *consensus.Consensus {
 	return l.slots[slot-l.base]
 }
 
-// windowGate returns the channel closed at the next window extension (or at
-// Stop). Fetch it BEFORE observing the window: an extension between the
-// observation and the wait then closes the fetched channel and the caller
-// re-checks.
-func (l *Log) windowGate() <-chan struct{} {
-	l.windowMu.Lock()
-	ch := l.windowCh
-	l.windowMu.Unlock()
-	return ch
-}
-
-// swapWindowGate releases window waiters and re-arms the gate. Runs on the
-// node loop (extendWindow).
-func (l *Log) swapWindowGate() {
-	l.windowMu.Lock()
-	if !l.windowClosed {
-		close(l.windowCh)
-		l.windowCh = make(chan struct{})
-	}
-	l.windowMu.Unlock()
-}
-
-// closeWindowGate permanently releases window waiters at Stop; they observe
-// the stopped flag on re-check.
-func (l *Log) closeWindowGate() {
-	l.windowMu.Lock()
-	if !l.windowClosed {
-		l.windowClosed = true
-		close(l.windowCh)
-	}
-	l.windowMu.Unlock()
-}
-
 // extendWindow grows the live window until it ends at to, creating the new
-// slots' consensus instances and releasing proposal claims parked on the
-// old end. New instances are virgin: the next stepView covers them with its
-// tail range, exactly like startup. Runs on the node loop.
+// slots' consensus instances and resuming claims parked on the old end. New
+// instances are virgin: the next stepView covers them with its tail range,
+// exactly like startup. Runs on the node loop.
 func (l *Log) extendWindow(to int64) {
 	end := l.base + int64(len(l.slots))
 	if to <= end {
@@ -212,55 +178,14 @@ func (l *Log) extendWindow(to int64) {
 	for s := end; s < to; s++ {
 		l.slots = append(l.slots, l.makeSlot(s))
 	}
-	l.swapWindowGate()
-	if l.batch != nil {
-		l.pump() // claims parked on the old end
-	}
-}
-
-// resolveSlot returns the consensus instance of a claimed slot, waiting out
-// window extensions when compaction is enabled. Without compaction a claim
-// beyond capacity is ErrLogFull, the seed behavior. With compaction a claim
-// below the live base — a snapshot-install truncated past it while the
-// claim was in flight — fails with ErrCompacted: the claim was never
-// proposed, so the command did not commit and may be retried.
-func (l *Log) resolveSlot(ctx context.Context, slot int64) (*consensus.Consensus, error) {
-	for {
-		gate := l.windowGate()
-		var (
-			inst           *consensus.Consensus
-			below, stopped bool
-		)
-		if err := l.n.CallCtx(ctx, func() {
-			stopped = l.stopped
-			inst = l.slotAt(slot)
-			below = slot < l.base
-		}); err != nil {
-			return nil, err
-		}
-		switch {
-		case stopped:
-			return nil, ErrStopped
-		case below:
-			return nil, fmt.Errorf("slot %d: %w", slot, ErrCompacted)
-		case inst != nil:
-			return inst, nil
-		case !l.compact.enabled():
-			return nil, ErrLogFull
-		}
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+	l.pump() // claims parked on the old end
 }
 
 // noteOccupancy records the live window usage high-water mark. Runs on the
 // node loop.
 func (l *Log) noteOccupancy() {
 	hi := l.frontier + 1
-	if l.batch != nil && l.batch.next > hi {
+	if l.batch.next > hi {
 		hi = l.batch.next
 	}
 	if l.next > hi {
@@ -474,9 +399,6 @@ func (l *Log) adoptApplied(t map[uint64]*originSeqs) {
 	}
 	l.appliedSubs = t
 	b := l.batch
-	if b == nil {
-		return
-	}
 	for k := range b.queued {
 		if l.isApplied(k) {
 			delete(b.queued, k)

@@ -45,8 +45,8 @@ func TestIdleLogViewTraffic(t *testing.T) {
 	sent := c.net.Stats().Sent - before
 
 	// 600ms of growing views is at most ~8 view entries across 4 processes.
-	// Batched: <= 1 message per process per view entry, so ~32 plus slack.
-	// Unbatched it would be 64x that.
+	// One range message per process per view entry, so ~32 plus slack; one
+	// message per idle slot would be 64x that.
 	const limit = 120
 	if sent > limit {
 		t.Fatalf("idle log sent %d messages in 600ms (want <= %d: one batch per process per view, not one per slot)", sent, limit)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/node"
 	"repro/internal/wire"
@@ -13,8 +12,6 @@ import (
 
 // kvCommand is the log entry format of the replicated KV store.
 type kvCommand struct {
-	// ID makes commands unique across clients (Append requires uniqueness).
-	ID string `json:"id"`
 	// Key and Val describe a set operation. An empty Key is a no-op entry
 	// (the Sync barrier, or a Meta carrier).
 	Key string `json:"key"`
@@ -33,9 +30,7 @@ type kvCommand struct {
 // across processes calls Sync first, which commits a no-op barrier (or uses
 // the lease fast path, see internal/lease and GetIf).
 type KV struct {
-	log    *Log
-	nodeID int
-	seq    atomic.Int64
+	log *Log
 
 	// Applied state, confined to the node loop: applySlot folds each slot
 	// in as the decided prefix advances (Log.OnCommit), so a read is one
@@ -59,10 +54,7 @@ func NewKV(n *node.Node, opts Options) *KV {
 	if opts.Name == "" {
 		opts.Name = "kv"
 	}
-	kv := &KV{
-		nodeID:  int(n.ID()),
-		applied: make(map[string]string),
-	}
+	kv := &KV{applied: make(map[string]string)}
 	opts.OnCommit = kv.applySlot
 	opts.Snapshotter = kv
 	kv.log = New(n, opts)
@@ -151,14 +143,10 @@ func (kv *KV) Restore(state string, frontier int64) error {
 	return nil
 }
 
-func (kv *KV) nextID() string {
-	return fmt.Sprintf("p%d-%d", kv.nodeID, kv.seq.Add(1))
-}
-
-// Set commits key=val and returns the log slot it occupies. Under batching
-// the slot may be shared with other commands of the same group commit.
+// Set commits key=val and returns the log slot it occupies. The slot may be
+// shared with other commands of the same group commit.
 func (kv *KV) Set(ctx context.Context, key, val string) (int64, error) {
-	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Key: key, Val: val})
+	cmd, err := json.Marshal(kvCommand{Key: key, Val: val})
 	if err != nil {
 		return 0, fmt.Errorf("encode kv command: %w", err)
 	}
@@ -176,11 +164,11 @@ type SetResult = AppendResult
 // letting one client keep several writes in flight so consecutive group
 // commits pipeline instead of serializing on each decision. The channel is
 // buffered; abandoning it leaks nothing, but ctx does not withdraw a
-// buffered write on the batching path — a submitted write will be proposed
-// and may commit regardless (see Log.AppendAsync); use the synchronous Set
+// buffered write — a submitted write will be proposed and may commit
+// regardless (see Log.AppendAsync); use the synchronous Set
 // when a canceled write must be safely retriable.
 func (kv *KV) SetAsync(ctx context.Context, key, val string) <-chan SetResult {
-	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Key: key, Val: val})
+	cmd, err := json.Marshal(kvCommand{Key: key, Val: val})
 	if err != nil {
 		out := make(chan SetResult, 1)
 		out <- SetResult{Err: fmt.Errorf("encode kv command: %w", err)}
@@ -196,12 +184,10 @@ type KVPair struct {
 
 // SetMany commits every pair, coalescing them into as few group commits as
 // the log's batch configuration allows (one, when they fit a single batch),
-// and returns the slot of each pair, aligned with the input order. Without
-// batching the writes still overlap (each runs its own consensus round
-// concurrently). The pairs are CONCURRENT writes: pairs sharing one group
-// commit preserve input order within their slot, but pairs split across
-// batches (or across unbatched rounds) may commit in either order — exactly
-// like concurrent Sets. Callers needing a total order across same-key
+// and returns the slot of each pair, aligned with the input order. The pairs
+// are CONCURRENT writes: pairs sharing one group commit preserve input
+// order within their slot, but pairs split across group commits may commit
+// in either order — exactly like concurrent Sets. Callers needing a total order across same-key
 // writes issue sequential Sets (a Set started after another completed
 // always commits above it). On error the committed pairs keep their slots
 // and failed pairs report slot -1; the first error is returned.
@@ -314,7 +300,7 @@ func (kv *KV) GetManyIf(ctx context.Context, keys []string, ok func() bool) (m m
 // prefix includes every Set that completed before Sync was invoked, making a
 // following Get linearizable.
 func (kv *KV) Sync(ctx context.Context) error {
-	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Key: "", Val: ""})
+	cmd, err := json.Marshal(kvCommand{})
 	if err != nil {
 		return err
 	}
@@ -329,7 +315,7 @@ func (kv *KV) Sync(ctx context.Context) error {
 // way, so lease state transitions are ordered against the writes they
 // guard by the log itself.
 func (kv *KV) AppendMeta(ctx context.Context, meta string) (int64, error) {
-	cmd, err := json.Marshal(kvCommand{ID: kv.nextID(), Meta: meta})
+	cmd, err := json.Marshal(kvCommand{Meta: meta})
 	if err != nil {
 		return 0, fmt.Errorf("encode kv meta entry: %w", err)
 	}

@@ -25,23 +25,24 @@
 // into the current view (onSlotActive) before it handles anything, so it
 // can never accept a 2A from a view below one it has answered for.
 //
-// The hot path supports group commit: with Options.Batch enabled, commands
-// arriving within a short window are cut into sub-batches, every process
-// forwards its sub-batches to the leader of its current view, and the leader
-// — the only process that claims slots — packs them into one value per slot
-// that a single consensus instance decides, with up to a configurable number
-// of slots in flight (see batch.go). A sub-batch re-sent after a view change
+// Every append goes through group commit (Options.Batch tunes it): commands
+// are cut into sub-batches numbered (origin, seq), every process forwards
+// its sub-batches to the leader of its current view, and the leader — the
+// only process that claims slots — packs them into one value per slot that
+// a single consensus instance decides, with up to a configurable number of
+// slots in flight (see batch.go). Every decided value is therefore a batch
+// value; SlotCommands expands it. A sub-batch re-sent after a view change
 // may commit twice; the later copy is skipped at apply, identically at every
-// replica. Consensus value semantics are untouched — a batch is one value —
-// so the paper's safety argument carries over unchanged. Leader leases
-// (internal/lease) serve leased local reads off the applied state, and
-// checkpointed compaction (Options.Compaction, compact.go) removes the
-// lifetime write budget: each process periodically announces a checkpoint
-// frontier, the slot window slides forward once every live peer has
-// announced a covering checkpoint (a lagging or dead peer is timed out and
-// later healed by a snapshot-install carrying the donor's applied state
-// plus decided suffix), and freed slots are recycled — ErrLogFull no
-// longer applies to sustained workloads.
+// replica, so commands need not be unique. Consensus value semantics are
+// untouched — a batch is one value — so the paper's safety argument carries
+// over unchanged. Leader leases (internal/lease) serve leased local reads
+// off the applied state, and checkpointed compaction (Options.Compaction,
+// compact.go) removes the lifetime write budget: each process periodically
+// announces a checkpoint frontier, the slot window slides forward once
+// every live peer has announced a covering checkpoint (a lagging or dead
+// peer is timed out and later healed by a snapshot-install carrying the
+// donor's applied state plus decided suffix), and freed slots are recycled
+// — ErrLogFull no longer applies to sustained workloads.
 package smr
 
 import (
@@ -49,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,14 +73,13 @@ var ErrLogFull = errors.New("replicated log full (all slots decided)")
 // were folded into a checkpoint and truncated.
 var ErrCompacted = errors.New("slot compacted (folded into a checkpoint)")
 
-// DefaultSlots is the default log capacity. Sized for sustained workloads
-// (unbatched, the workload engine's kv driver appends one slot per Set;
-// with group commit a slot carries a whole batch, stretching the same
-// capacity by the batch size); deployments expecting more traffic set
-// Options.Slots explicitly — each slot is a pre-created consensus instance
-// at every process (see the package comment). Idle slots batch their view
-// participation into one message per process per view, so capacity costs
-// memory, not steady-state traffic.
+// DefaultSlots is the default log capacity. A slot carries a whole group
+// commit (up to BatchOptions.MaxOps commands), so the same capacity
+// stretches by the batch size under load; deployments expecting more
+// traffic set Options.Slots explicitly — each slot is a pre-created
+// consensus instance at every process (see the package comment). Idle
+// slots batch their view participation into one message per process per
+// view, so capacity costs memory, not steady-state traffic.
 const DefaultSlots = 128
 
 // Options configures a log endpoint.
@@ -95,21 +94,19 @@ type Options struct {
 	Reads, Writes []graph.BitSet
 	// ViewC is the per-slot consensus view-duration constant.
 	ViewC time.Duration
-	// Batch configures group-commit batching and pipelined appends. The
-	// zero value disables batching (every Append runs its own consensus
-	// round, the pre-batching behavior).
+	// Batch tunes group commit and pipelined appends, the one append path.
+	// The zero value takes the defaults (see BatchOptions).
 	Batch BatchOptions
 	// OnCommit, when set, runs on the node loop for every slot the decided
 	// prefix advances over — in slot order, exactly once per slot, with the
-	// slot's applied value: the decided value (an opaque group-commit batch
-	// under batching; expand with SlotCommands), less any sub-batch already
-	// applied in an earlier slot. Layers keeping derived state
-	// over the log (the KV's applied map) fold slots in here instead of
-	// replaying the prefix per read. It fires before the slot's prefix
-	// waiters are released, so an append completion observes every
-	// OnCommit effect up to its slot. With compaction, a snapshot-install
-	// replaces the skipped slots' OnCommit calls with one Snapshotter
-	// Restore.
+	// slot's applied value: the decided group-commit batch value (expand
+	// with SlotCommands), less any sub-batch already applied in an earlier
+	// slot. Layers keeping derived state over the log (the KV's applied
+	// map) fold slots in here instead of replaying the prefix per read. It
+	// fires before the slot's prefix waiters are released, so an append
+	// completion observes every OnCommit effect up to its slot. With
+	// compaction, a snapshot-install replaces the skipped slots' OnCommit
+	// calls with one Snapshotter Restore.
 	OnCommit func(slot int64, v string)
 	// Compaction configures checkpointed log compaction: the slot window
 	// slides forward as checkpoints retire the decided prefix (see
@@ -166,7 +163,7 @@ type Log struct {
 	topicSnap   string
 	topicFwd    string
 
-	// batch is the group-commit append buffer, nil when batching is off.
+	// batch is the group-commit append buffer.
 	batch *batcher
 
 	// compact is Options.Compaction with defaults applied; compact.enabled()
@@ -174,12 +171,6 @@ type Log struct {
 	// Options.Snapshotter).
 	compact     CompactionOptions
 	snapshotter Snapshotter
-
-	// windowCh gates proposal claims beyond the live window: extension
-	// closes and re-arms it (swapWindowGate), Stop closes it for good.
-	windowMu     sync.Mutex
-	windowCh     chan struct{}
-	windowClosed bool
 
 	// Compaction counters (CompactionMetrics); atomics, read from any
 	// goroutine.
@@ -273,7 +264,6 @@ func New(n *node.Node, opts Options) *Log {
 		onCommit:      opts.OnCommit,
 		compact:       opts.Compaction.withDefaults(),
 		snapshotter:   opts.Snapshotter,
-		windowCh:      make(chan struct{}),
 		decided:       make(map[int64]string),
 		waiters:       make(map[int64][]chan string),
 		prefixWaiters: make(map[int64][]chan struct{}),
@@ -289,9 +279,7 @@ func New(n *node.Node, opts Options) *Log {
 		topicSnap:     opts.Name + "/snap",
 		topicFwd:      opts.Name + "/fwd",
 	}
-	if opts.Batch.enabled() {
-		l.batch = newBatcher(l, opts.Batch)
-	}
+	l.batch = newBatcher(l, opts.Batch)
 	// Each instance registers its topics as it is created, and a peer that
 	// is already running can reach slot s's handlers — which read l.slots
 	// on the loop — while later slots are still being appended. Creating
@@ -303,9 +291,7 @@ func New(n *node.Node, opts Options) *Log {
 	})
 	n.Handle(l.topicIdle1B, l.onIdle1B)
 	n.Handle(l.topicDecs, l.onDecs)
-	if l.batch != nil {
-		n.Handle(l.topicFwd, l.onFwd)
-	}
+	n.Handle(l.topicFwd, l.onFwd)
 	if l.compact.enabled() {
 		n.Handle(l.topicCkpt, l.onCkpt)
 		n.Handle(l.topicSnap, l.onSnap)
@@ -347,9 +333,7 @@ func (l *Log) stepView(v int64) {
 	// package comment).
 	addIdle(scan+1, math.MaxInt64)
 	l.n.Send(l.leaderOf(v), l.topicIdle1B, smrIdle1B{View: v, Ranges: ranges})
-	if l.batch != nil {
-		l.enterViewBatch(v)
-	}
+	l.enterViewBatch(v)
 }
 
 // onIdle1B records a peer's batched default 1Bs (leader side). Slots this
@@ -519,9 +503,7 @@ func (l *Log) foldPrefix() {
 		if !ok {
 			break
 		}
-		if wire.IsBatch(v) {
-			v = l.applyBatch(l.next, v)
-		}
+		v = l.applyBatch(l.next, v)
 		if l.onCommit != nil {
 			l.onCommit(l.next, v)
 		}
@@ -534,9 +516,6 @@ func (l *Log) foldPrefix() {
 			}
 			delete(l.prefixWaiters, k)
 		}
-	}
-	if l.batch == nil {
-		return
 	}
 	for _, d := range l.firstApplied {
 		l.completeOwn(d)
@@ -618,135 +597,61 @@ func (l *Log) WaitPrefix(ctx context.Context, slot int64) error {
 	}
 }
 
-// Append commits cmd to the log and returns the slot it occupies. Commands
-// must be unique (callers tag them with client ids); duplicates would be
-// committed twice. With batching enabled the command coalesces into a group
-// commit and the returned slot may be shared with other commands (use
-// AppendAsync for the index within the batch); otherwise it tries
-// successive slots until cmd itself is decided, alone in its slot.
+// Append commits cmd to the log and returns the slot where it was first
+// applied. The command coalesces into a group commit, so the slot may be
+// shared with other commands (AppendAsync also reports the index within
+// it). Commands need not be unique: each append is its own sub-batch.
 //
 // Canceling ctx abandons the wait. A command still buffered (never cut
-// into a batch) is withdrawn and cannot commit, so a caller may safely
-// retry it; a command whose batch was already proposed may still commit
-// afterwards — the same in-flight semantics as the unbatched path, where a
-// retried command risks double commit.
+// into a sub-batch) is withdrawn and cannot commit, so a caller may safely
+// retry it; a command already cut may still commit afterwards, and a retry
+// is a new sub-batch that would commit it twice.
 func (l *Log) Append(ctx context.Context, cmd string) (int64, error) {
 	if err := checkCmd(cmd); err != nil {
 		return 0, err
 	}
-	if l.batch != nil {
-		ch := l.batch.enqueue(cmd)
-		select {
-		case res := <-ch:
-			return res.Slot, res.Err
-		case <-ctx.Done():
-			// Withdraw the command if it has not been cut into a batch yet;
-			// an op already in flight keeps the may-still-commit semantics.
-			l.batch.remove(ch)
-			return 0, ctx.Err()
-		}
-	}
-	for {
-		var (
-			slot    int64
-			stopped bool
-		)
-		if err := l.n.CallCtx(ctx, func() {
-			stopped = l.stopped
-			slot = l.next
-		}); err != nil {
-			return 0, err
-		}
-		if stopped {
-			return 0, ErrStopped
-		}
-		inst, err := l.resolveSlot(ctx, slot)
-		if errors.Is(err, ErrCompacted) {
-			// The claim lost a race with truncation: competing appends
-			// decided the slot and a checkpoint folded it before cmd was
-			// ever proposed there, so retrying cannot double-commit.
-			continue
-		}
-		if err != nil {
-			return 0, err
-		}
-		v, err := inst.Propose(ctx, cmd)
-		if err != nil {
-			return 0, fmt.Errorf("append at slot %d: %w", slot, err)
-		}
-		// Deliberately not CallCtx: the decision is already durable, and
-		// returning ctx.Err() here would invite a double-commit retry of a
-		// committed command. The hop is one bounded loop step.
-		l.n.Call(func() { //lint:allow ctxflow decision already durable; aborting this bounded hop would invite double-commit retries
-			l.recordDecision(slot, v)
-			if l.next <= slot {
-				l.next = slot + 1
-			}
-		})
-		if v == cmd {
-			// The sequential walk guarantees the local prefix covers the
-			// slot here (the bump above), matching the batched path's
-			// completion at first apply; the gate, if any, runs under the
-			// same invariant.
-			l.runGate(slot)
-			return slot, nil
-		}
-		// Slot was taken by a competing command; retry on the next one.
-		select {
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		default:
-		}
+	ch := l.batch.enqueue(cmd)
+	select {
+	case res := <-ch:
+		return res.Slot, res.Err
+	case <-ctx.Done():
+		l.batch.remove(ch)
+		return 0, ctx.Err()
 	}
 }
 
-// checkCmd validates a command for Append: non-empty, and not opening with
-// the reserved batch-marker byte (a command that parsed as a batch would
-// corrupt DecidedPrefix's flattening).
+// checkCmd validates a command for Append: any non-empty bytes (batch
+// values length-prefix their commands, so no byte is reserved).
 func checkCmd(cmd string) error {
 	if cmd == "" {
 		return errors.New("empty command")
-	}
-	if cmd[0] == 0x01 {
-		return errors.New("command starts with the reserved batch-marker byte 0x01")
 	}
 	return nil
 }
 
 // AppendAsync submits cmd and returns a channel that receives its
-// completion: the slot the command's batch occupies, its index within the
-// batch, and any error. The channel is buffered; abandoning it leaks
-// nothing. On the batching path ctx does NOT withdraw the command — the
+// completion: the slot where the command was first applied, its index in
+// SlotCommands of that slot, and any error. The channel is buffered;
+// abandoning it leaks nothing. ctx does NOT withdraw the command — the
 // async surface trades cancellation for a zero-overhead completion channel
 // (no per-op goroutine), so a submitted command will be proposed and may
 // commit even if the caller stops listening; a caller that needs
-// withdraw-on-cancel for safe retries uses the synchronous Append. With
-// batching disabled it falls back to a goroutine running Append (index 0),
-// which does honor ctx, so callers can pipeline against either
-// configuration.
+// withdraw-on-cancel for safe retries uses the synchronous Append.
 func (l *Log) AppendAsync(ctx context.Context, cmd string) <-chan AppendResult {
 	if err := checkCmd(cmd); err != nil {
 		done := make(chan AppendResult, 1)
 		done <- AppendResult{Err: err}
 		return done
 	}
-	if l.batch != nil {
-		return l.batch.enqueue(cmd)
-	}
-	done := make(chan AppendResult, 1)
-	go func() {
-		slot, err := l.Append(ctx, cmd)
-		done <- AppendResult{Slot: slot, Err: err}
-	}()
-	return done
+	return l.batch.enqueue(cmd)
 }
 
 // Get returns the decision of a slot, blocking until it is decided at this
-// process. Under batching a slot's decision may be an opaque group-commit
-// value carrying several commands; SlotCommands expands it (DecidedPrefix
-// already flattens the whole prefix back into the per-command sequence). A
-// sub-batch in the value that an earlier slot already applied is skipped at
-// apply: it appears here but changes no state.
+// process. The decision is a group-commit batch value carrying one or more
+// commands; SlotCommands expands it (DecidedPrefix already flattens the
+// whole prefix back into the per-command sequence). A sub-batch in the
+// value that an earlier slot already applied is skipped at apply: it
+// appears here but changes no state.
 func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 	if slot < 0 {
 		return "", fmt.Errorf("slot %d out of range", slot)
@@ -841,16 +746,12 @@ func (l *Log) DecidedPrefix(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
-// SlotCommands expands a decided slot value into its ordered commands: a
-// group-commit value yields the commands of all its sub-batches in order
-// (AppendResult.Index is the position within this slice), any other value
-// yields itself. It is the public decoder for values read back through Get
-// on a batching log. A later copy of an already-applied sub-batch is
+// SlotCommands expands a decided slot value — a group-commit batch value —
+// into the commands of all its sub-batches in order (AppendResult.Index is
+// the position within this slice). It is the public decoder for values
+// read back through Get. A later copy of an already-applied sub-batch is
 // listed here like any other but was skipped at apply.
 func SlotCommands(v string) ([]string, error) {
-	if !wire.IsBatch(v) {
-		return []string{v}, nil
-	}
 	subs, err := wire.DecodeBatch(v)
 	switch {
 	case err != nil:
@@ -874,16 +775,12 @@ func SlotCommands(v string) ([]string, error) {
 // unapplied then fails with ErrStopped), then terminates the shared view
 // synchronizer and every slot instance, and releases blocked calls.
 func (l *Log) Stop() {
-	if l.batch != nil {
-		l.batch.drainAndClose(5 * time.Second)
-	}
+	l.batch.drainAndClose(5 * time.Second)
 	l.sync.Stop()
 	ran := false
 	l.n.Call(func() {
 		ran = true
-		if l.batch != nil {
-			l.failOut(ErrStopped)
-		}
+		l.failOut(ErrStopped)
 		l.stopped = true
 		for slot, ws := range l.waiters {
 			for _, ch := range ws {
@@ -898,12 +795,9 @@ func (l *Log) Stop() {
 			delete(l.prefixWaiters, slot)
 		}
 	})
-	if !ran && l.batch != nil {
+	if !ran {
 		l.failOut(ErrStopped) // the node stopped first; its loop has exited
 	}
-	// Release proposal claims parked on the window gate; they observe the
-	// stopped flag on re-check (resolveSlot).
-	l.closeWindowGate()
 	for _, c := range l.slots {
 		c.Stop()
 	}

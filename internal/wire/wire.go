@@ -98,11 +98,10 @@ func Marshal(topic string, body any) ([]byte, error) {
 }
 
 // batchMagic prefixes a group-committed batch travelling as one opaque
-// consensus value (see smr's group commit). Byte 0x01 cannot open a JSON
-// document, so a batch is always distinguishable from the JSON-encoded
-// single commands the SMR layers store. The version byte distinguishes this
-// length-prefixed format from the JSON-array batches of "\x01b1": a value
-// in the old format is rejected, never misread.
+// consensus value (see smr's group commit; every decided log value is one).
+// The version byte distinguishes this length-prefixed format from the
+// JSON-array batches of "\x01b1": a value in the old format is rejected,
+// never misread.
 const batchMagic = "\x01b2"
 
 // SubBatch is one origin's cut of commands inside a batch value: Origin
@@ -166,8 +165,7 @@ func JoinBatches(vals []string) string {
 	return b.String()
 }
 
-// IsBatch reports whether a decided value is a batch produced by
-// EncodeBatch rather than a single command.
+// IsBatch reports whether v opens with the marker of EncodeBatch's format.
 func IsBatch(v string) bool {
 	return len(v) >= len(batchMagic) && v[:len(batchMagic)] == batchMagic
 }

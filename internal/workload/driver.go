@@ -124,18 +124,19 @@ type Config struct {
 	// Batch caps the commands per group commit of the kv protocol's SMR
 	// logs (core.WithBatch): Sets arriving within BatchWindow coalesce into
 	// one consensus round carrying the whole batch, amortizing the RTT that
-	// otherwise bounds per-group write throughput. 0 or 1 runs unbatched
-	// (one consensus round per Set, the pre-batching behavior). Requires kv.
+	// otherwise bounds per-group write throughput. 0 takes the smr default
+	// (64, no window); 1 puts every Set in its own slot. Requires kv.
 	Batch int
 	// BatchWindow is the group-commit coalescing window. Zero accepts the
-	// default 1ms when Batch enables batching.
+	// default 1ms when Batch > 1, and no window otherwise.
 	BatchWindow time.Duration
 	// Pipeline is the in-flight window: the kv logs keep up to this many
 	// batches in flight across consecutive slots, and when above 1 each
 	// driver client issues writes asynchronously with up to Pipeline
 	// outstanding instead of blocking on every decision (pipelined mode,
-	// open or closed loop). Zero accepts the default 4 when Batch enables
-	// batching; 1 keeps clients synchronous.
+	// open or closed loop). Zero accepts the default 4 when Batch > 1, and
+	// otherwise keeps the smr default of 4 slots in flight with synchronous
+	// clients; 1 keeps clients synchronous.
 	Pipeline int
 	// Compact enables checkpointed log compaction on the kv protocol's SMR
 	// logs (core.WithCompaction): each shard group folds its applied state
@@ -305,7 +306,7 @@ func (c Config) validate() error {
 	if c.Batch < 0 || c.Pipeline < 0 || c.BatchWindow < 0 {
 		return fmt.Errorf("batch, batch window and pipeline must be non-negative, got %d/%v/%d", c.Batch, c.BatchWindow, c.Pipeline)
 	}
-	if (c.Batch > 1 || c.BatchWindow > 0 || c.Pipeline > 1) && c.Protocol != ProtocolKV {
+	if (c.Batch > 0 || c.BatchWindow > 0 || c.Pipeline > 1) && c.Protocol != ProtocolKV {
 		return fmt.Errorf("batching/pipelining requires the kv protocol, got %q", c.Protocol)
 	}
 	if c.Lease < 0 {
@@ -316,11 +317,6 @@ func (c Config) validate() error {
 	}
 	if c.Compact && c.Protocol != ProtocolKV {
 		return fmt.Errorf("log compaction requires the kv protocol, got %q", c.Protocol)
-	}
-	if c.BatchWindow > 0 && c.Batch <= 1 {
-		// The engine only enables group commit when Batch > 1; a bare window
-		// would be silently ignored, which this config surface never does.
-		return fmt.Errorf("batch window %v requires group commit (Batch > 1), got batch %d", c.BatchWindow, c.Batch)
 	}
 	if c.Pattern < 0 || c.Pattern > 4 {
 		return fmt.Errorf("pattern must be in 0..4, got %d", c.Pattern)

@@ -279,7 +279,6 @@ func TestRunValidation(t *testing.T) {
 		{Pipeline: -3},
 		{Protocol: ProtocolRegister, Batch: 8},
 		{Protocol: ProtocolSnapshot, Pipeline: 4},
-		{Protocol: ProtocolKV, BatchWindow: 2 * time.Millisecond},
 		{Protocol: ProtocolRegister, Lease: time.Second},
 		{Protocol: ProtocolKV, Lease: -time.Second},
 	}
@@ -288,5 +287,10 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Errorf("case %d: bad config %+v accepted", i, cfg)
 		}
+	}
+	// A bare window is honoured: every kv write goes through group commit.
+	cfg := Config{Protocol: ProtocolKV, BatchWindow: 2 * time.Millisecond, Duration: 10 * time.Millisecond}.withDefaults()
+	if err := cfg.validate(); err != nil {
+		t.Errorf("bare batch window rejected: %v", err)
 	}
 }

@@ -55,7 +55,8 @@ type Report struct {
 	WarmupSec    float64 `json:"warmup_sec,omitempty"`
 
 	// Batch, BatchWindowMs and Pipeline record the kv group-commit
-	// configuration in force (zero when unbatched / synchronous clients).
+	// configuration asked for (zero for the smr defaults / synchronous
+	// clients).
 	Batch         int     `json:"batch,omitempty"`
 	BatchWindowMs float64 `json:"batch_window_ms,omitempty"`
 	Pipeline      int     `json:"pipeline,omitempty"`
@@ -200,33 +201,31 @@ func buildReport(cfg Config, measured time.Duration, qs quorum.System, callers [
 		mode = "open"
 	}
 	r := &Report{
-		Protocol:     string(cfg.Protocol),
-		Net:          string(cfg.Net),
-		Nodes:        cfg.Nodes,
-		Clients:      cfg.Clients,
-		Mode:         mode,
-		TargetRate:   cfg.Rate,
-		Dist:         string(cfg.Dist),
-		Keys:         cfg.Keys,
-		ReadFraction: cfg.ReadFraction,
-		Seed:         cfg.Seed,
-		DurationSec:  measured.Seconds(),
-		WarmupSec:    cfg.Warmup.Seconds(),
-		Pipeline:     cfg.Pipeline,
-		TotalOps:     all.Count(),
-		OpsPerSec:    float64(all.Count()) / measured.Seconds(),
-		Latency:      Summarize(all),
-		Reads:        Summarize(allReads),
-		Writes:       Summarize(allWrites),
+		Protocol:      string(cfg.Protocol),
+		Net:           string(cfg.Net),
+		Nodes:         cfg.Nodes,
+		Clients:       cfg.Clients,
+		Mode:          mode,
+		TargetRate:    cfg.Rate,
+		Dist:          string(cfg.Dist),
+		Keys:          cfg.Keys,
+		ReadFraction:  cfg.ReadFraction,
+		Seed:          cfg.Seed,
+		DurationSec:   measured.Seconds(),
+		WarmupSec:     cfg.Warmup.Seconds(),
+		Batch:         cfg.Batch,
+		BatchWindowMs: msf(cfg.BatchWindow),
+		Pipeline:      cfg.Pipeline,
+		TotalOps:      all.Count(),
+		OpsPerSec:     float64(all.Count()) / measured.Seconds(),
+		Latency:       Summarize(all),
+		Reads:         Summarize(allReads),
+		Writes:        Summarize(allWrites),
 		Errors: map[string]uint64{
 			"read":  readErrs,
 			"write": writeErrs,
 		},
 		Callers: callers,
-	}
-	if cfg.Batch > 1 {
-		r.Batch = cfg.Batch
-		r.BatchWindowMs = msf(cfg.BatchWindow)
 	}
 	if len(reads) > 1 {
 		r.ShardCount = len(reads)
@@ -294,7 +293,7 @@ func (r *Report) Text(w io.Writer) {
 	if r.ShardCount > 1 {
 		fmt.Fprintf(w, " shards=%d", r.ShardCount)
 	}
-	if r.Batch > 1 {
+	if r.Batch > 0 || r.BatchWindowMs > 0 || r.Pipeline > 0 {
 		fmt.Fprintf(w, " batch=%d/%.1fms pipeline=%d", r.Batch, r.BatchWindowMs, r.Pipeline)
 	}
 	fmt.Fprintln(w)

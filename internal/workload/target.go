@@ -88,11 +88,8 @@ func clusterOptions(cfg Config, qs quorum.System, shard int) ([]core.Option, err
 		core.WithTick(cfg.Tick),
 		core.WithViewC(cfg.ViewC),
 		core.WithSlots(cfg.Slots),
-	}
-	if cfg.Batch > 1 {
-		opts = append(opts,
-			core.WithBatch(cfg.BatchWindow, cfg.Batch),
-			core.WithPipeline(cfg.Pipeline))
+		core.WithBatch(cfg.BatchWindow, cfg.Batch),
+		core.WithPipeline(cfg.Pipeline),
 	}
 	if cfg.Lease > 0 {
 		// Every shard group grants its own lease to its process 0 (the core
