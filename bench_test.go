@@ -245,7 +245,7 @@ func BenchmarkE21_NemesisScenarios(b *testing.B) {
 }
 
 // BenchmarkE22_CompactionSoak — the compaction soak and crash-rejoin
-// scenarios: sustained writes past the slot budget with zero ErrLogFull,
+// scenarios: sustained writes past the slot budget with zero write errors,
 // and a dark replica healed by snapshot-install (multi-second workload runs
 // per iteration).
 func BenchmarkE22_CompactionSoak(b *testing.B) {
@@ -345,7 +345,7 @@ func BenchmarkWorkloadRegisterUnderF1(b *testing.B) {
 // Keep the configs in lockstep with those baselines: changing a knob here
 // without re-measuring the baseline makes the trend check meaningless.
 
-func benchKVWrite1ms(b *testing.B, batch int, compact bool) {
+func benchKVWrite1ms(b *testing.B, batch int, smallWindow bool) {
 	skipHeavyBenchShort(b)
 	cfg := workload.Config{
 		Protocol:     workload.ProtocolKV,
@@ -365,11 +365,10 @@ func benchKVWrite1ms(b *testing.B, batch int, compact bool) {
 		cfg.BatchWindow = time.Millisecond
 		cfg.Pipeline = 4
 	}
-	if compact {
+	if smallWindow {
 		// A smaller window (checkpoint every 128 slots) so the measured run
 		// actually checkpoints and truncates throughout — the cost under
-		// measurement — instead of idling inside a 4096-slot budget.
-		cfg.Compact = true
+		// measurement — instead of idling inside a 4096-slot window.
 		cfg.Slots = 512
 	}
 	for i := 0; i < b.N; i++ {
@@ -383,7 +382,7 @@ func benchKVWrite1ms(b *testing.B, batch int, compact bool) {
 		if errs := r.Errors["read"] + r.Errors["write"]; errs > 0 {
 			b.Fatalf("%d operation errors", errs)
 		}
-		if compact && (r.Compaction == nil || r.Compaction.Truncations == 0) {
+		if smallWindow && (r.Compaction == nil || r.Compaction.Truncations == 0) {
 			b.Fatal("compaction idle: the measured run never truncated, so the trend point is meaningless")
 		}
 		b.ReportMetric(r.OpsPerSec, "ops/sec")
@@ -399,10 +398,10 @@ func BenchmarkKVWrite1msOnePerSlot(b *testing.B) { benchKVWrite1ms(b, 1, false) 
 // pipeline 4: one round carries up to 64 Sets.
 func BenchmarkKVWrite1msBatched64(b *testing.B) { benchKVWrite1ms(b, 64, false) }
 
-// BenchmarkKVWrite1msCompact — the batched hot path with checkpointed
-// compaction running underneath (checkpoint every 128 slots, truncation
-// live throughout): its ops/sec against the Batched64 floor is the
-// steady-state cost of compaction. Baseline in BENCH_compaction.json.
+// BenchmarkKVWrite1msCompact — the batched hot path in a 512-slot window,
+// so checkpointed compaction runs underneath (checkpoint every 128 slots,
+// truncation live throughout): its ops/sec against the Batched64 floor is
+// the steady-state cost of compaction. Baseline in BENCH_compaction.json.
 func BenchmarkKVWrite1msCompact(b *testing.B) { benchKVWrite1ms(b, 64, true) }
 
 // --- ms-delay KV read-path trend benchmarks (CI bench-trend job) ---

@@ -11,7 +11,7 @@
 //	        [-keys N] [-dist uniform|zipf] [-zipf-s S] [-readfrac F]
 //	        [-pattern 0..4] [-fault-at F] [-uf] [-nodes N] [-slots N]
 //	        [-shards N] [-batch N] [-batch-window D] [-pipeline N]
-//	        [-compact] [-sync-reads] [-lease D]
+//	        [-sync-reads] [-lease D]
 //	        [-nemesis SPEC] [-nemesis-seed N] [-seed N] [-json]
 //
 // Examples:
@@ -47,13 +47,12 @@
 // per-group RTT ceiling on write throughput — see the README's batching
 // section.
 //
-// A -compact run (kv only) enables checkpointed log compaction: each shard
-// group folds its applied state into periodic checkpoints (cadence derived
-// from the per-shard slot budget), truncates the acknowledged decided
-// prefix and recycles the freed slots, so a sustained-write run outlives
-// any -slots budget instead of filling the log into ErrLogFull errors. The
-// report gains a compaction section (checkpoints, truncations, freed
-// slots, snapshot installs, peak slot occupancy against the budget).
+// Every kv log compacts: each shard group folds its applied state into
+// periodic checkpoints (cadence derived from the per-shard -slots window),
+// truncates the acknowledged decided prefix and recycles the freed slots,
+// so a sustained-write run outlives any -slots budget. The kv report has a
+// compaction section (checkpoints, truncations, freed slots, snapshot
+// installs, peak slot occupancy against the budget).
 //
 // A -lease D run (kv only) grants each shard group's process 0 a read
 // lease of duration D: reads at a holder are served locally with no
@@ -120,9 +119,8 @@ func run(args []string, w io.Writer) error {
 	batch := fs.Int("batch", 0, "max Sets per group-commit consensus round (kv protocol; 0 = default 64, 1 = one Set per slot)")
 	batchWindow := fs.Duration("batch-window", 0, "group-commit coalescing window (kv; 0 = default 1ms when -batch > 1, none otherwise)")
 	pipeline := fs.Int("pipeline", 0, "batches kept in flight / async writes outstanding per client (kv; 0 = default 4, clients synchronous unless -batch > 1)")
-	slots := fs.Int("slots", 0, "total SMR log capacity, divided across shards (kv protocol; 0 = default 4096)")
+	slots := fs.Int("slots", 0, "total SMR slot window, divided across shards; the window slides as checkpoints retire decided slots (kv protocol; 0 = default 4096)")
 	latticePool := fs.Int("lattice-pool", 0, "single-shot lattice object pool size (lattice protocol; 0 = default 8)")
-	compact := fs.Bool("compact", false, "checkpointed log compaction: recycle decided slots so sustained writes outlive -slots (kv protocol; report gains a compaction section)")
 	syncReads := fs.Bool("sync-reads", false, "kv reads commit a Sync barrier before Get")
 	leaseDur := fs.Duration("lease", 0, "read-lease duration: leased local reads at each shard's holder, shared barriers elsewhere (kv; implies -sync-reads; 0 = off)")
 	nemSpec := fs.String("nemesis", "", "chaos scenario spec driven against shard 0 (kv over mem; see internal/nemesis grammar)")
@@ -185,8 +183,8 @@ func run(args []string, w io.Writer) error {
 	if set["fault-at"] && *pattern == 0 {
 		reject("-fault-at needs a failure pattern (-pattern 1..4)")
 	}
-	if (set["slots"] || set["sync-reads"] || set["lease"] || set["compact"]) && *protocol != "kv" {
-		reject("-slots/-sync-reads/-lease/-compact apply to -protocol kv only (got %q)", *protocol)
+	if (set["slots"] || set["sync-reads"] || set["lease"]) && *protocol != "kv" {
+		reject("-slots/-sync-reads/-lease apply to -protocol kv only (got %q)", *protocol)
 	}
 	if *leaseDur < 0 {
 		reject("-lease must be non-negative (0 = no read lease), got %v", *leaseDur)
@@ -263,7 +261,6 @@ func run(args []string, w io.Writer) error {
 		BatchWindow:  *batchWindow,
 		Pipeline:     *pipeline,
 		LatticePool:  *latticePool,
-		Compact:      *compact,
 		SyncReads:    *syncReads,
 		Lease:        *leaseDur,
 		Nemesis:      *nemSpec,

@@ -109,8 +109,6 @@ func TestRunFlagCombinationValidation(t *testing.T) {
 		{"negative pipeline", []string{"-protocol", "kv", "-pipeline", "-2", "-duration", "10ms"}},
 		{"lease with register", []string{"-protocol", "register", "-lease", "1s", "-duration", "10ms"}},
 		{"negative lease", []string{"-protocol", "kv", "-lease", "-1s", "-duration", "10ms"}},
-		{"compact with register", []string{"-protocol", "register", "-compact", "-duration", "10ms"}},
-		{"compact with lattice", []string{"-protocol", "lattice", "-compact", "-duration", "10ms"}},
 		{"nemesis with register", []string{"-protocol", "register", "-nemesis", "crash(1)@0.5", "-duration", "10ms"}},
 		{"nemesis with tcp", []string{"-protocol", "kv", "-net", "tcp", "-nemesis", "crash(1)@0.5", "-duration", "10ms"}},
 		{"nemesis with pattern", []string{"-protocol", "kv", "-pattern", "1", "-nemesis", "crash(1)@0.5", "-duration", "10ms"}},
@@ -254,8 +252,8 @@ func TestRunBatchedJSON(t *testing.T) {
 
 // TestRunCompactJSON drives a sustained-write kv run whose write count
 // exceeds the slot budget several times over and checks the report carries
-// the compaction section: compaction kept recycling slots (zero write
-// errors past the budget) and bounded the live window.
+// the compaction section every kv run has: compaction kept recycling slots
+// (zero write errors past the budget) and bounded the live window.
 func TestRunCompactJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compacting kv run skipped in -short mode")
@@ -264,7 +262,7 @@ func TestRunCompactJSON(t *testing.T) {
 	err := run([]string{
 		"-protocol", "kv", "-clients", "4", "-readfrac", "0",
 		"-batch", "8", "-batch-window", "1ms", "-pipeline", "4",
-		"-compact", "-slots", "64",
+		"-slots", "64",
 		"-duration", "1s", "-keys", "16",
 		"-seed", "3", "-json",
 	}, &out)

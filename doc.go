@@ -44,16 +44,16 @@
 //     concurrent barrier readers elsewhere coalesce onto one shared Sync
 //     no-op, ~11-16x read throughput over barrier-per-read at ms delays
 //     (see README "Read path" and BENCH_reads.json);
-//   - checkpointed log compaction and O(state) state transfer
-//     (WithCompaction, WithShardCompaction, CompactionOptions,
-//     CompactionMetrics): every interval the log announces a checkpoint
-//     frontier (no state is serialized), truncates the decided prefix once
-//     every process acks a frontier (ack-timeout so a dead replica cannot
-//     block it) and recycles the freed slots — sustained writes never see
-//     ErrLogFull — while rejoining laggards heal from a snapshot-install,
-//     the donor's applied state + cursor serialized on demand plus its
-//     decided suffix, instead of replaying history (see README "Compaction
-//     & state transfer" and BENCH_compaction.json);
+//   - checkpointed log compaction and O(state) state transfer, the only
+//     way a log runs (tuned by WithCompaction, CompactionOptions; observed
+//     through CompactionMetrics): every interval the log announces a
+//     checkpoint frontier (no state is serialized), truncates the decided
+//     prefix once every process acks a frontier (ack-timeout so a dead
+//     replica cannot block it) and recycles the freed slots — the slot
+//     window is no lifetime budget — while rejoining laggards heal from a
+//     snapshot-install, the donor's applied state + cursor serialized on
+//     demand plus its decided suffix, instead of replaying history (see
+//     README "Compaction & state transfer" and BENCH_compaction.json);
 //   - the sharded KV surface (OpenSharded, ShardedStore, ShardedKV,
 //     ShardRing): the keyspace consistent-hashed (virtual nodes,
 //     deterministic seed) across N independent quorum-system groups, each a

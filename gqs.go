@@ -153,11 +153,13 @@ type (
 	// append path of a replicated log (ReplicatedLogOptions.Batch, or
 	// WithBatch/WithPipeline on a cluster); the zero value takes defaults.
 	BatchOptions = smr.BatchOptions
-	// CompactionOptions configures checkpointed log compaction on a
-	// replicated log (ReplicatedLogOptions.Compaction, or WithCompaction /
-	// WithShardCompaction on a cluster/store): the applied state folds into
-	// periodic checkpoints, the acknowledged decided prefix is truncated and
-	// its slots recycled, and laggards heal by snapshot-install.
+	// CompactionOptions tunes checkpointed log compaction, which every
+	// replicated log runs (ReplicatedLogOptions.Compaction, or
+	// WithCompaction on a cluster; shard groups take it through
+	// WithGroupOptions): the applied state folds into periodic checkpoints,
+	// the acknowledged decided prefix is truncated and its slots recycled,
+	// and laggards heal by snapshot-install. The zero value takes the
+	// defaults.
 	CompactionOptions = smr.CompactionOptions
 	// CompactionMetrics is a snapshot of a log's compaction counters
 	// (checkpoints, truncations, freed slots, installs, peak occupancy).
@@ -225,7 +227,8 @@ var (
 	WithTick = core.WithTick
 	// WithViewC sets the consensus view-duration constant.
 	WithViewC = core.WithViewC
-	// WithSlots sets replicated log/KV capacity.
+	// WithSlots sets the replicated log/KV slot window (it slides; see
+	// WithCompaction).
 	WithSlots = core.WithSlots
 	// WithBatch tunes group commit on provisioned logs/KV stores: commands
 	// arriving within the window (or until the op cap) coalesce into one
@@ -233,10 +236,10 @@ var (
 	// across consecutive slots. Zeros take the smr defaults.
 	WithBatch    = core.WithBatch
 	WithPipeline = core.WithPipeline
-	// WithCompaction enables checkpointed log compaction on provisioned
-	// logs/KV stores: sustained workloads recycle slots instead of hitting
-	// ErrLogFull, and replicas that fall below the live window heal by
-	// snapshot-install in O(state).
+	// WithCompaction tunes checkpointed log compaction on provisioned
+	// logs/KV stores (checkpoint interval, ack timeout, clock). Every log
+	// compacts without it: sustained workloads recycle slots, and replicas
+	// that fall below the live window heal by snapshot-install in O(state).
 	WithCompaction = core.WithCompaction
 	// WithLease enables leased local reads on provisioned KV stores: the
 	// holder process (WithLeaseHolder, default 0) serves SyncGet from its
@@ -296,9 +299,6 @@ var (
 	// independent lease, so a fault in one shard lapses only that shard's
 	// fast read path.
 	WithShardLease = shard.WithLease
-	// WithShardCompaction enables checkpointed log compaction on every
-	// shard's group; each shard truncates and heals independently.
-	WithShardCompaction = shard.WithCompaction
 )
 
 // Workload engine: sustained load generation with tail-latency metrics over

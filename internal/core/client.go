@@ -390,7 +390,10 @@ func (cc *ConsensusClient) At(p failure.Proc) *consensus.Consensus {
 
 // --- replicated log ---
 
-// LogClient operates a named replicated command log.
+// LogClient operates a named replicated command log. The log compacts like
+// every smr log: once every replica has checkpointed past a slot it is
+// truncated, and Get on it fails with smr.ErrCompacted — a raw log keeps
+// its decided values only within the live slot window.
 type LogClient struct {
 	client
 	eps []*smr.Log
@@ -658,8 +661,7 @@ func (kc *KVClient) At(p failure.Proc) *smr.KV {
 // CompactionMetrics aggregates the compaction counters across every process
 // endpoint: event counters sum (each process checkpoints and truncates
 // independently), peak slot occupancy takes the cluster-wide maximum (the
-// bound the window argument must hold at every process). All zeros when the
-// cluster was opened without WithCompaction.
+// bound the window argument must hold at every process).
 func (kc *KVClient) CompactionMetrics() smr.CompactionMetrics {
 	var m smr.CompactionMetrics
 	for _, ep := range kc.eps {

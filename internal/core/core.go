@@ -110,11 +110,12 @@ func WithViewC(d time.Duration) Option {
 	return func(c *config) { c.viewC = d }
 }
 
-// WithSlots sets the capacity of replicated logs (and the KV stores above
-// them) provisioned by this cluster. Each slot is a pre-created consensus
-// instance at every process (see the smr package comment); idle slots
-// batch their view participation, so capacity costs memory, not
-// steady-state traffic.
+// WithSlots sets the slot window of replicated logs (and the KV stores
+// above them) provisioned by this cluster: the slots live at once, not a
+// lifetime budget — the window slides as checkpoints retire the decided
+// prefix (WithCompaction). Each live slot is a consensus instance at every
+// process (see the smr package comment); idle slots batch their view
+// participation, so the window costs memory, not steady-state traffic.
 func WithSlots(n int) Option {
 	return func(c *config) { c.slots = n }
 }
@@ -132,14 +133,15 @@ func WithBatch(window time.Duration, maxOps int) Option {
 	}
 }
 
-// WithCompaction enables checkpointed log compaction on the replicated logs
-// (and KV stores) provisioned by this cluster: every o.Interval decided
-// slots each process folds its applied state into a checkpoint, the decided
-// prefix below the cluster-wide acknowledged frontier is truncated (freed
-// slots are recycled, so sustained workloads never hit ErrLogFull), and
-// replicas that fall below the live window are healed by a snapshot-install
-// in O(state) instead of an O(history) replay. Non-announcing peers stop
-// blocking truncation after o.AckTimeout. See smr.CompactionOptions.
+// WithCompaction tunes checkpointed log compaction, which every replicated
+// log (and KV store) provisioned by this cluster runs: every o.Interval
+// decided slots each process folds its applied state into a checkpoint,
+// the decided prefix below the cluster-wide acknowledged frontier is
+// truncated (freed slots are recycled, so sustained workloads outlive the
+// slot window), and replicas that fall below the live window are healed by
+// a snapshot-install in O(state) instead of an O(history) replay.
+// Non-announcing peers stop blocking truncation after o.AckTimeout. Without
+// it the smr defaults apply; see smr.CompactionOptions.
 func WithCompaction(o smr.CompactionOptions) Option {
 	return func(c *config) { c.compaction = o }
 }
@@ -643,7 +645,7 @@ func (c *Cluster) Consensus(name string) (*ConsensusClient, error) {
 }
 
 // Log provisions (or returns) the named replicated command log and its
-// client. Capacity comes from WithSlots.
+// client. The slot window comes from WithSlots.
 func (c *Cluster) Log(name string) (*LogClient, error) {
 	obj, err := c.provision(KindLog, name, func() Object {
 		eps := make([]*smr.Log, 0, c.N())

@@ -12,9 +12,8 @@ import (
 // load and under failure. Row one is the soak: a closed-loop batched
 // write-only run against a deliberately tiny slot budget, required to
 // commit several times the budget with zero write errors — proof the freed
-// slots really are recycled (the pre-compaction log would return ErrLogFull
-// once and for all at the budget) — while peak slot occupancy stays within
-// the configured window. Row two is the heal: a seeded nemesis crash keeps
+// slots really are recycled — while peak slot occupancy stays within the
+// configured window. Row two is the heal: a seeded nemesis crash keeps
 // one replica dark long enough for the ack-timeout to truncate past it, so
 // its rejoin can only converge through a snapshot-install; the probes'
 // lincheck history closes the run with truncation active throughout.
@@ -34,7 +33,6 @@ func E22CompactionSoak(ctx context.Context, cfg Config) (*Table, error) {
 		Keys:     16,
 		Shards:   2,
 		Batch:    8,
-		Compact:  true,
 		// A tiny budget (128 per shard, checkpoint every 32 slots) makes the
 		// soak's "writes ≫ budget" claim cheap to reach and the crash row's
 		// truncation fast enough to overtake the dark replica.
@@ -124,7 +122,7 @@ func E22CompactionSoak(ctx context.Context, cfg Config) (*Table, error) {
 		yesNo(nm.Linearizable),
 	)
 
-	t.AddNote("Soak: %s writes through a %d-slot budget — the pre-compaction log dies with ErrLogFull at write %d. Crash-rejoin: process 0 dark past the checkpoint ack-timeout, truncation proceeds without it, rejoin heals via snapshot-install (checkpoint + decided suffix) in O(state); the probes' lincheck history passes with truncation running under it. gqsload -compact drives the same engine from the command line.",
-		t.Rows[0][1], 256, 257)
+	t.AddNote("Soak: %s writes through a %d-slot window, every slot recycled by checkpoint truncation many times over. Crash-rejoin: process 0 dark past the checkpoint ack-timeout, truncation proceeds without it, rejoin heals via snapshot-install (checkpoint + decided suffix) in O(state); the probes' lincheck history passes with truncation running under it. gqsload -protocol kv -slots N drives the same engine from the command line.",
+		t.Rows[0][1], 256)
 	return t, nil
 }

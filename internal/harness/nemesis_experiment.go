@@ -33,9 +33,9 @@ func E21NemesisScenarios(ctx context.Context, cfg Config) (*Table, error) {
 		Tick:     cfg.Tick,
 		ViewC:    cfg.ViewC,
 		Clients:  4,
-		// Open loop at a modest rate: a closed-loop batched run fills the
-		// default log capacity mid-scenario and the probes would measure log
-		// exhaustion, not chaos recovery.
+		// Open loop at a modest rate: a closed-loop batched run saturates
+		// the write pipeline mid-scenario and the probes would measure
+		// queueing, not chaos recovery.
 		Rate:        200,
 		Keys:        16,
 		Shards:      2,

@@ -61,11 +61,9 @@ func E17Workload(ctx context.Context, cfg Config) (*Table, error) {
 			c.Clients = 4
 			// Registration-triggered proposals made commits RTT-bound
 			// rather than view-bound, so a 1s closed loop can decide more
-			// than its 4096 slots; compaction recycles them instead of
-			// failing writes with ErrLogFull. Idle capacity is free
-			// (activity-frontier batching).
+			// than its 4096 slots; compaction recycles them. Idle capacity
+			// is free (activity-frontier batching).
 			c.Slots = 4096
-			c.Compact = true
 		}},
 		{"register, 128-key fan-out", func(c *workload.Config) {
 			// The propagation-cliff probe: 128 register objects per node.

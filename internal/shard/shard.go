@@ -67,20 +67,6 @@ func WithLease(d time.Duration) Option {
 	}
 }
 
-// WithCompaction enables checkpointed log compaction on every shard's
-// group: each shard checkpoints, truncates and heals laggards independently
-// over its own log (the truncation frontier is a per-group agreement, so
-// shards never wait on each other's acks). Shorthand for
-// WithGroupOptions(core.WithCompaction(o)).
-func WithCompaction(o smr.CompactionOptions) Option {
-	return func(c *config) {
-		prev := c.group
-		c.group = func(shard int) []core.Option {
-			return append(prev(shard), core.WithCompaction(o))
-		}
-	}
-}
-
 // WithGroupOptionsFunc appends per-shard cluster options (e.g. a distinct
 // simulator seed per group).
 func WithGroupOptionsFunc(f func(shard int) []core.Option) Option {

@@ -427,22 +427,12 @@ func (l *Log) leaderOf(v int64) failure.Proc {
 	return failure.Proc(viewsync.Leader(viewsync.View(v), l.n.ClusterSize()))
 }
 
-// full reports whether a non-compacting log has decided every slot here, so
-// no sub-batch can commit any more. Runs on the node loop.
-func (l *Log) full() bool {
-	return !l.compact.enabled() && l.next >= l.base+int64(len(l.slots))
-}
-
 // submit takes a fresh cut of this process's commands into out and routes
 // it towards the leader. Runs on the node loop.
 func (l *Log) submit(sb *subBatch) {
 	b := l.batch
-	switch {
-	case l.stopped:
+	if l.stopped {
 		b.finish(sb, AppendResult{Err: ErrStopped})
-		return
-	case l.full():
-		b.finish(sb, AppendResult{Err: ErrLogFull})
 		return
 	}
 	b.out[sb.seq] = sb
@@ -525,9 +515,9 @@ func (l *Log) onFwd(from failure.Proc, m wire.Message) {
 // entry has waited out the window, and from then on it is claimed as fast
 // as claims free up until it drains. Claims start at the decided prefix
 // and skip slots known decided; a claim that loses its slot re-queues
-// (claimDone). Without compaction a claim past the last slot fails the
-// queue with ErrLogFull; with it, pump resumes when the window extends.
-// Runs on the node loop.
+// (claimDone). A claim past the window's end parks the queue until the
+// next checkpoint extends the window (extendWindow pumps again). Runs on
+// the node loop.
 func (l *Log) pump() {
 	b := l.batch
 	defer func() {
@@ -550,9 +540,6 @@ func (l *Log) pump() {
 		}
 		inst := l.slotAt(b.next)
 		if inst == nil {
-			if !l.compact.enabled() {
-				l.dropQueue(ErrLogFull)
-			}
 			return
 		}
 		var (
@@ -663,25 +650,6 @@ func (l *Log) claimDone(val, v string, err error, take []queuedSub) {
 		delete(b.queued, q.key)
 	}
 	l.route(lost)
-}
-
-// dropQueue empties the claim queue: this process's own sub-batches fail
-// with err, forwarded ones are dropped (their origins fail them the same
-// way once their own log is full). Runs on the node loop.
-func (l *Log) dropQueue(err error) {
-	b := l.batch
-	self := uint64(l.n.ID())
-	for _, q := range b.queue {
-		delete(b.queued, q.key)
-		if q.key.origin == self {
-			if sb := b.out[q.key.seq]; sb != nil {
-				delete(b.out, q.key.seq)
-				b.finish(sb, AppendResult{Err: err})
-			}
-		}
-	}
-	clear(b.queue)
-	b.queue = b.queue[:0]
 }
 
 // failOut fails every sub-batch of this process not yet applied. Runs on

@@ -183,7 +183,9 @@ func TestBatchPipelineDistinctSlots(t *testing.T) {
 		seen[r.Slot] = true
 		hole := int64(-1)
 		c.logs[0].n.Call(func() {
-			for s := int64(0); s <= r.Slot; s++ {
+			// Slots below the live base are decided by construction:
+			// truncation never passes the decided prefix.
+			for s := c.logs[0].base; s <= r.Slot; s++ {
 				if _, ok := c.logs[0].decided[s]; !ok {
 					hole = s
 					break
@@ -241,19 +243,29 @@ func TestBatchByteCapBoundsCut(t *testing.T) {
 	}
 }
 
-// TestBatchLogFull: batches that cannot claim a slot fail with ErrLogFull.
-func TestBatchLogFull(t *testing.T) {
-	c := newBatchedCluster(t, 2, BatchOptions{Window: time.Millisecond, MaxOps: 1})
+// TestDefaultLogOutlivesSlots: a log built without Compaction options
+// still checkpoints and truncates, so one-per-slot appends run far past
+// its slot window — the window slides, it is no lifetime budget.
+func TestDefaultLogOutlivesSlots(t *testing.T) {
+	const slots = 8
+	c := newBatchedCluster(t, slots, BatchOptions{MaxOps: 1})
 	defer c.stop()
 	ctx := ctxSec(t, 60)
 
-	for i := 0; i < 2; i++ {
-		if _, err := c.logs[0].Append(ctx, fmt.Sprintf("fill-%d", i)); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
+	for i := 0; i < 3*slots; i++ {
+		if _, err := c.logs[0].Append(ctx, fmt.Sprintf("w%d", i)); err != nil {
+			t.Fatalf("append %d through a %d-slot window: %v", i, slots, err)
 		}
 	}
-	if _, err := c.logs[0].Append(ctx, "overflow"); !errors.Is(err, ErrLogFull) {
-		t.Fatalf("append on full log: %v, want ErrLogFull", err)
+	// Truncation waits for every process's checkpoint announcement (or the
+	// ack timeout), which may trail the last append's completion.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.logs[0].CompactionMetrics().Truncations == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no truncation after %d appends through a %d-slot window: %+v",
+				3*slots, slots, c.logs[0].CompactionMetrics())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -334,6 +346,31 @@ func TestBatchCanceledAppendWithdraws(t *testing.T) {
 	}
 	if len(prefix) != 1 || prefix[0] != "kept" {
 		t.Fatalf("prefix = %v, want exactly [kept] (withdrawn command committed)", prefix)
+	}
+}
+
+// TestAppendAsyncCanceledContextNeverCommits: AppendAsync with a context
+// already done at the call submits nothing — its completion carries
+// context.Canceled and the command never commits, so a retry is safe.
+func TestAppendAsyncCanceledContextNeverCommits(t *testing.T) {
+	c := newBatchedCluster(t, 8, BatchOptions{})
+	defer c.stop()
+	ctx := ctxSec(t, 60)
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r := <-c.logs[0].AppendAsync(canceled, "dropped"); !errors.Is(r.Err, context.Canceled) {
+		t.Fatalf("AppendAsync with a canceled ctx completed with %+v, want context.Canceled", r)
+	}
+	if _, err := c.logs[0].Append(ctx, "kept"); err != nil {
+		t.Fatalf("append after the canceled one: %v", err)
+	}
+	prefix, err := c.logs[0].DecidedPrefix(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prefix) != 1 || prefix[0] != "kept" {
+		t.Fatalf("prefix = %v, want exactly [kept] (canceled command committed)", prefix)
 	}
 }
 

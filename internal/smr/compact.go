@@ -11,10 +11,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Checkpointed log compaction. With Options.Compaction enabled the slot
-// space becomes a sliding window: logical slot numbers are unbounded and
-// never reused (slot topics never alias), while live consensus instances
-// exist only for [base, base+window). Each process checkpoints its derived
+// Checkpointed log compaction, the only way a log runs. The slot space is
+// a sliding window: logical slot numbers are unbounded and never reused
+// (slot topics never alias), while live consensus instances exist only for
+// [base, base+window). Each process checkpoints its derived
 // state every Interval decided slots and announces the checkpoint frontier;
 // the window extends past every announced frontier (so proposals never run
 // out of slots), and the prefix below the LOWEST frontier announced by all
@@ -42,13 +42,13 @@ import (
 // checkpoint announcement before treating it as failed.
 const DefaultAckTimeout = 2 * time.Second
 
-// CompactionOptions configures checkpointed log compaction. The zero value
-// disables compaction — the fixed [0, Slots) log whose exhaustion is
-// ErrLogFull. All processes of one log must agree on Interval.
+// CompactionOptions tunes checkpointed log compaction. Every log compacts;
+// the zero value takes the defaults. All processes of one log must agree
+// on Interval.
 type CompactionOptions struct {
 	// Interval is the checkpoint cadence in slots: a process checkpoints
 	// whenever its decided prefix has grown by Interval slots since its last
-	// checkpoint. Positive enables compaction.
+	// checkpoint. Zero takes DefaultInterval of the slot window.
 	Interval int64
 	// AckTimeout bounds how long truncation waits for every peer's
 	// checkpoint announcement. Peers still short of a frontier when the
@@ -61,10 +61,19 @@ type CompactionOptions struct {
 	Clock clock.Clock
 }
 
-// enabled reports whether the options turn compaction on.
-func (o CompactionOptions) enabled() bool { return o.Interval > 0 }
+// DefaultInterval is the checkpoint cadence of a log whose window is slots
+// wide: a quarter of the window keeps several checkpoints' headroom ahead
+// of truncation, floored at 16 so tiny windows do not checkpoint on every
+// other decision, and capped at the window itself so a checkpoint always
+// fires — and extends the window — before the window can fill.
+func DefaultInterval(slots int) int64 {
+	return int64(min(max(slots/4, 16), slots))
+}
 
-func (o CompactionOptions) withDefaults() CompactionOptions {
+func (o CompactionOptions) withDefaults(slots int) CompactionOptions {
+	if o.Interval <= 0 {
+		o.Interval = DefaultInterval(slots)
+	}
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = DefaultAckTimeout
 	}
@@ -79,8 +88,8 @@ func (o CompactionOptions) withDefaults() CompactionOptions {
 // moment, so the state it sees is exactly the decided prefix
 // [0, frontier); a checkpoint records and announces its frontier without
 // serializing anything. Restore runs when a snapshot-install replaces this
-// process's state. NewKV installs the KV's own snapshotter; a plain
-// compacting Log without one ships installs that carry no state.
+// process's state. NewKV installs the KV's own snapshotter; a plain Log
+// without one ships installs that carry no state.
 type Snapshotter interface {
 	Snapshot(frontier int64) (string, error)
 	Restore(state string, frontier int64) error

@@ -40,8 +40,7 @@ func newCompactCluster(t *testing.T, mutate func(*Options)) *smrCluster {
 }
 
 // TestCompactionSustainedWritesOutliveSlotBudget drives 5x the slot budget
-// through an 8-slot window: without compaction the 9th write would be
-// ErrLogFull; with it, checkpoints must keep truncating so every write
+// through an 8-slot window: checkpoints must keep truncating so every write
 // lands and the window's high-water mark stays bounded.
 func TestCompactionSustainedWritesOutliveSlotBudget(t *testing.T) {
 	c := newCompactCluster(t, nil)

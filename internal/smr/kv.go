@@ -163,10 +163,12 @@ type SetResult = AppendResult
 // SetAsync submits key=val and returns a channel receiving its completion,
 // letting one client keep several writes in flight so consecutive group
 // commits pipeline instead of serializing on each decision. The channel is
-// buffered; abandoning it leaks nothing, but ctx does not withdraw a
-// buffered write — a submitted write will be proposed and may commit
-// regardless (see Log.AppendAsync); use the synchronous Set
-// when a canceled write must be safely retriable.
+// buffered; abandoning it leaks nothing. A ctx already done at the call
+// submits nothing: the channel holds ctx.Err() and the write never
+// commits. A cancel after the call does not withdraw the write — a
+// submitted write will be proposed and may commit regardless (see
+// Log.AppendAsync); use the synchronous Set when a write canceled in
+// flight must be safely retriable.
 func (kv *KV) SetAsync(ctx context.Context, key, val string) <-chan SetResult {
 	cmd, err := json.Marshal(kvCommand{Key: key, Val: val})
 	if err != nil {

@@ -6,19 +6,21 @@
 // commands submitted at U_f members commit despite asymmetric channel
 // failures.
 //
-// Slot instances are created for the whole (bounded) slot window upfront,
-// at every process, when the log endpoint starts. This is not an
-// implementation convenience but a requirement of the paper's model: under
+// Slot instances are created for the whole slot window upfront, at every
+// process, when the log endpoint starts. This is not an implementation
+// convenience but a requirement of the paper's model: under
 // a pattern like Figure 1's f1, a read-quorum member (process c) may have
 // NO incoming connectivity at all, so it can never learn about lazily
 // created protocol instances — it can only participate in protocols it
 // starts spontaneously. The paper's algorithms assume every correct process
 // runs the algorithm from startup; the pre-created window realizes exactly
-// that per slot.
+// that per slot. The window slides (compact.go): checkpoints retire the
+// decided prefix and extend the window past it, so the log has no lifetime
+// write budget.
 //
 // Idle slots answer each view with one batched default 1B per process, and
 // the virgin tail is sent as the open range [frontier+1, ∞), so it also
-// covers slots a compacting log creates mid-view. This is safe: a default
+// covers slots the sliding window creates mid-view. This is safe: a default
 // 1B (aview 0, no value) is exactly what an instance that has accepted
 // nothing would answer, and every slot above the sender's frontier is in
 // that state, created yet or not. A slot activated later is moved straight
@@ -36,13 +38,13 @@
 // replica, so commands need not be unique. Consensus value semantics are
 // untouched — a batch is one value — so the paper's safety argument carries
 // over unchanged. Leader leases (internal/lease) serve leased local reads
-// off the applied state, and checkpointed compaction (Options.Compaction,
-// compact.go) removes the lifetime write budget: each process periodically
+// off the applied state. Checkpointed compaction (compact.go; tuned by
+// Options.Compaction) is how every log runs: each process periodically
 // announces a checkpoint frontier, the slot window slides forward once
 // every live peer has announced a covering checkpoint (a lagging or dead
 // peer is timed out and later healed by a snapshot-install carrying the
-// donor's applied state plus decided suffix), and freed slots are recycled
-// — ErrLogFull no longer applies to sustained workloads.
+// donor's applied state plus decided suffix), and freed slots are recycled.
+// Slots below the live base are gone: Get reports them as ErrCompacted.
 package smr
 
 import (
@@ -64,31 +66,26 @@ import (
 // ErrStopped is returned after the log has been stopped.
 var ErrStopped = errors.New("replicated log stopped")
 
-// ErrLogFull is returned when every slot of the bounded log is decided.
-// With compaction enabled (Options.Compaction) it no longer occurs: the
-// slot window slides forward as checkpoints retire the decided prefix.
-var ErrLogFull = errors.New("replicated log full (all slots decided)")
-
 // ErrCompacted is returned for slots below the live window: their decisions
 // were folded into a checkpoint and truncated.
 var ErrCompacted = errors.New("slot compacted (folded into a checkpoint)")
 
-// DefaultSlots is the default log capacity. A slot carries a whole group
-// commit (up to BatchOptions.MaxOps commands), so the same capacity
-// stretches by the batch size under load; deployments expecting more
-// traffic set Options.Slots explicitly — each slot is a pre-created
-// consensus instance at every process (see the package comment). Idle
-// slots batch their view participation into one message per process per
-// view, so capacity costs memory, not steady-state traffic.
+// DefaultSlots is the default slot-window size. A slot carries a whole
+// group commit (up to BatchOptions.MaxOps commands), and the window slides
+// as checkpoints retire the decided prefix, so it bounds the slots in use
+// at once, not the log's lifetime — each slot is a pre-created consensus
+// instance at every process (see the package comment). Idle slots batch
+// their view participation into one message per process per view, so
+// capacity costs memory, not steady-state traffic.
 const DefaultSlots = 128
 
 // Options configures a log endpoint.
 type Options struct {
 	// Name scopes wire topics. Defaults to "smr".
 	Name string
-	// Slots is the log capacity (number of pre-created consensus
-	// instances). Defaults to DefaultSlots. All processes of one log must
-	// agree on it.
+	// Slots is the slot-window size (number of live consensus instances;
+	// the window slides, see Compaction). Defaults to DefaultSlots. All
+	// processes of one log must agree on it.
 	Slots int
 	// Reads and Writes are the GQS quorum families.
 	Reads, Writes []graph.BitSet
@@ -104,20 +101,19 @@ type Options struct {
 	// slot. Layers keeping derived state over the log (the KV's applied
 	// map) fold slots in here instead of replaying the prefix per read. It
 	// fires before the slot's prefix waiters are released, so an append
-	// completion observes every OnCommit effect up to its slot. With
-	// compaction, a snapshot-install replaces the skipped slots' OnCommit
-	// calls with one Snapshotter Restore.
+	// completion observes every OnCommit effect up to its slot. A
+	// snapshot-install replaces the skipped slots' OnCommit calls with one
+	// Snapshotter Restore.
 	OnCommit func(slot int64, v string)
-	// Compaction configures checkpointed log compaction: the slot window
-	// slides forward as checkpoints retire the decided prefix (see
-	// compact.go). The zero value disables compaction — the seed's fixed
-	// [0, Slots) log whose exhaustion is ErrLogFull. All processes of one
-	// log must agree on it.
+	// Compaction tunes checkpointed log compaction, which every log runs:
+	// the slot window slides forward as checkpoints retire the decided
+	// prefix (see compact.go). The zero value takes the defaults (see
+	// CompactionOptions). All processes of one log must agree on it.
 	Compaction CompactionOptions
 	// Snapshotter serializes and restores the derived state OnCommit folds,
 	// for snapshot-installs (checkpoints serialize nothing). Owned by the
-	// KV's apply loop under NewKV and must be left unset there; a plain
-	// compacting Log without one sends installs that carry no state.
+	// KV's apply loop under NewKV and must be left unset there; a plain Log
+	// without one sends installs that carry no state.
 	Snapshotter Snapshotter
 }
 
@@ -142,8 +138,7 @@ type smrDecEntry struct {
 type Log struct {
 	n *node.Node
 	// slots holds the live window's consensus instances: slots[i] is
-	// logical slot base+i. Without compaction the window is fixed at
-	// [0, Slots); with it, extension appends and truncation drops from the
+	// logical slot base+i. Extension appends and truncation drops from the
 	// front. Loop-confined, New included (Stop reads it only after the loop
 	// has observed stopped).
 	slots []*consensus.Consensus
@@ -166,9 +161,8 @@ type Log struct {
 	// batch is the group-commit append buffer.
 	batch *batcher
 
-	// compact is Options.Compaction with defaults applied; compact.enabled()
-	// gates every compaction code path. snapshotter may be nil (see
-	// Options.Snapshotter).
+	// compact is Options.Compaction with defaults applied. snapshotter may
+	// be nil (see Options.Snapshotter).
 	compact     CompactionOptions
 	snapshotter Snapshotter
 
@@ -262,7 +256,7 @@ func New(n *node.Node, opts Options) *Log {
 		viewC:         opts.ViewC,
 		window:        int64(opts.Slots),
 		onCommit:      opts.OnCommit,
-		compact:       opts.Compaction.withDefaults(),
+		compact:       opts.Compaction.withDefaults(opts.Slots),
 		snapshotter:   opts.Snapshotter,
 		decided:       make(map[int64]string),
 		waiters:       make(map[int64][]chan string),
@@ -292,10 +286,8 @@ func New(n *node.Node, opts Options) *Log {
 	n.Handle(l.topicIdle1B, l.onIdle1B)
 	n.Handle(l.topicDecs, l.onDecs)
 	n.Handle(l.topicFwd, l.onFwd)
-	if l.compact.enabled() {
-		n.Handle(l.topicCkpt, l.onCkpt)
-		n.Handle(l.topicSnap, l.onSnap)
-	}
+	n.Handle(l.topicCkpt, l.onCkpt)
+	n.Handle(l.topicSnap, l.onSnap)
 	l.sync = viewsync.New(opts.ViewC, func(v viewsync.View) {
 		// Hop onto the event loop; the synchronizer runs its own goroutine.
 		n.Do(func() { l.stepView(int64(v)) })
@@ -328,8 +320,8 @@ func (l *Log) stepView(v int64) {
 			addIdle(s, s+1)
 		}
 	}
-	// The tail is open-ended: slots a compacting log creates later in this
-	// view are virgin too, and their default 1B is this one (see the
+	// The tail is open-ended: slots the sliding window creates later in
+	// this view are virgin too, and their default 1B is this one (see the
 	// package comment).
 	addIdle(scan+1, math.MaxInt64)
 	l.n.Send(l.leaderOf(v), l.topicIdle1B, smrIdle1B{View: v, Ranges: ranges})
@@ -389,7 +381,7 @@ func (l *Log) onIdle1B(from failure.Proc, m wire.Message) {
 			}
 		}
 	}
-	if behind && l.compact.enabled() {
+	if behind {
 		// The peer is still running slots whose decided values were
 		// truncated here, so the O(history) decs catch-up below cannot
 		// cover them — heal it with a snapshot-install instead.
@@ -451,7 +443,7 @@ func (l *Log) onDecs(from failure.Proc, m wire.Message) {
 		if d.Slot < l.base {
 			continue // already folded into a checkpoint here
 		}
-		if l.compact.enabled() && d.Slot >= l.base+int64(len(l.slots)) {
+		if d.Slot >= l.base+int64(len(l.slots)) {
 			// Evidence of decisions beyond our window: a peer extended on a
 			// checkpoint announcement we missed. Creating instances is
 			// always safe; extend to adopt the decision.
@@ -463,9 +455,9 @@ func (l *Log) onDecs(from failure.Proc, m wire.Message) {
 	}
 }
 
-// Capacity returns the configured slot-window size. Without compaction it
-// is the fixed log capacity; with it, the window of this size slides
-// forward as checkpoints retire the decided prefix.
+// Capacity returns the configured slot-window size: the number of slots
+// live at once, not a lifetime budget — the window slides forward as
+// checkpoints retire the decided prefix.
 func (l *Log) Capacity() int { return int(l.window) }
 
 // recordDecision stores a decision and wakes waiters. Runs on the loop.
@@ -485,7 +477,7 @@ func (l *Log) recordDecision(slot int64, v string) {
 		ch <- v
 	}
 	delete(l.waiters, slot)
-	if l.compact.enabled() && l.next >= l.lastCkpt+l.compact.Interval {
+	if l.next >= l.lastCkpt+l.compact.Interval {
 		l.checkpoint()
 	}
 	l.noteOccupancy()
@@ -522,9 +514,6 @@ func (l *Log) foldPrefix() {
 	}
 	clear(l.firstApplied)
 	l.firstApplied = l.firstApplied[:0]
-	if l.full() {
-		l.failOut(ErrLogFull) // no slot is left for them
-	}
 }
 
 // SetGate installs (or, with nil, removes) the append-completion gate:
@@ -632,13 +621,20 @@ func checkCmd(cmd string) error {
 // AppendAsync submits cmd and returns a channel that receives its
 // completion: the slot where the command was first applied, its index in
 // SlotCommands of that slot, and any error. The channel is buffered;
-// abandoning it leaks nothing. ctx does NOT withdraw the command — the
-// async surface trades cancellation for a zero-overhead completion channel
-// (no per-op goroutine), so a submitted command will be proposed and may
-// commit even if the caller stops listening; a caller that needs
-// withdraw-on-cancel for safe retries uses the synchronous Append.
+// abandoning it leaks nothing. ctx is read once, at the call: when it is
+// already done the command is not submitted at all — the channel holds
+// ctx.Err() and the command can never commit, so a retry is safe. A cancel
+// after the call does NOT withdraw the command: the async surface trades
+// cancellation for a zero-overhead completion channel (no per-op
+// goroutine), so a submitted command will be proposed and may commit even
+// if the caller stops listening; a caller that needs withdraw-on-cancel
+// for safe retries uses the synchronous Append.
 func (l *Log) AppendAsync(ctx context.Context, cmd string) <-chan AppendResult {
-	if err := checkCmd(cmd); err != nil {
+	err := ctx.Err()
+	if err == nil {
+		err = checkCmd(cmd)
+	}
+	if err != nil {
 		done := make(chan AppendResult, 1)
 		done <- AppendResult{Err: err}
 		return done
@@ -651,7 +647,9 @@ func (l *Log) AppendAsync(ctx context.Context, cmd string) <-chan AppendResult {
 // commands; SlotCommands expands it (DecidedPrefix already flattens the
 // whole prefix back into the per-command sequence). A sub-batch in the
 // value that an earlier slot already applied is skipped at apply: it
-// appears here but changes no state.
+// appears here but changes no state. Only the live window answers: a slot
+// below its base was folded into a checkpoint and truncated (ErrCompacted),
+// and a Get still waiting when its slot is truncated fails with ErrStopped.
 func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 	if slot < 0 {
 		return "", fmt.Errorf("slot %d out of range", slot)
@@ -691,9 +689,8 @@ func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 	select {
 	case v, ok := <-ch:
 		if !ok {
-			// Stop released the waiter — or, with compaction, the slot was
-			// truncated out from under it (its value lives on only inside a
-			// checkpoint).
+			// Stop released the waiter — or the slot was truncated out from
+			// under it (its value lives on only inside a checkpoint).
 			return "", ErrStopped
 		}
 		return v, nil
@@ -704,9 +701,8 @@ func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 
 // DecidedPrefix returns the applied commands of slots [base, k) where k is
 // the first undecided slot at this process and base is the live window's
-// start (0 without compaction — the full decided prefix; under compaction
-// the truncated prefix below base lives on only inside checkpoints),
-// flattening group-commit batches back into their ordered per-command
+// start (the truncated prefix below base lives on only inside checkpoints,
+// so two processes may report different starts), flattening group-commit batches back into their ordered per-command
 // sequence (one decided slot may contribute several commands) and leaving
 // out the sub-batches skipped at apply as already applied. The context
 // bounds the wait for the event loop (a loaded loop services the request

@@ -112,14 +112,14 @@ type Config struct {
 	// injected into shard 0 only — the other shards are the fault-isolation
 	// control group, visible in the report's per-shard sections.
 	Shards int
-	// Slots is the total SMR log capacity for the kv protocol, divided
-	// evenly across Shards (each shard's log gets Slots/Shards consensus
-	// instances pre-created per node; see the smr package comment). Virgin
-	// slots beyond the log's activity frontier cost no per-view work or
-	// traffic at all, so capacity is effectively free until used;
-	// undersizing still surfaces as ErrLogFull write errors once the log
-	// fills. Default 4096 — commits are RTT-bound now, and a multi-second
-	// closed-loop run decides thousands of slots.
+	// Slots is the total SMR slot window for the kv protocol, divided
+	// evenly across Shards (each shard's log keeps Slots/Shards consensus
+	// instances live per node; see the smr package comment). The window
+	// slides: every log checkpoints each smr.DefaultInterval(Slots/Shards)
+	// slots, truncates the acknowledged prefix and recycles the freed
+	// slots, so Slots bounds the slots in use at once, not the run's
+	// writes. Virgin slots beyond the log's activity frontier cost no
+	// per-view work or traffic at all. Default 4096.
 	Slots int
 	// Batch caps the commands per group commit of the kv protocol's SMR
 	// logs (core.WithBatch): Sets arriving within BatchWindow coalesce into
@@ -138,16 +138,6 @@ type Config struct {
 	// otherwise keeps the smr default of 4 slots in flight with synchronous
 	// clients; 1 keeps clients synchronous.
 	Pipeline int
-	// Compact enables checkpointed log compaction on the kv protocol's SMR
-	// logs (core.WithCompaction): each shard group folds its applied state
-	// into periodic checkpoints, truncates the acknowledged decided prefix
-	// and recycles the freed slots, so a sustained-write run outlives any
-	// Slots budget instead of filling the log into ErrLogFull. The
-	// checkpoint interval is derived from the per-shard slot budget (a
-	// quarter of the window, at least 16 slots). Requires kv. The report
-	// gains a compaction section (checkpoints, truncations, freed slots,
-	// installs, peak slot occupancy).
-	Compact bool
 	// LatticePool is the number of pre-created single-shot lattice objects
 	// per run for the lattice protocol. Each object is a backing snapshot of
 	// Nodes segment registers at every node; with delta propagation idle
@@ -314,9 +304,6 @@ func (c Config) validate() error {
 	}
 	if c.Lease > 0 && c.Protocol != ProtocolKV {
 		return fmt.Errorf("read leases require the kv protocol, got %q", c.Protocol)
-	}
-	if c.Compact && c.Protocol != ProtocolKV {
-		return fmt.Errorf("log compaction requires the kv protocol, got %q", c.Protocol)
 	}
 	if c.Pattern < 0 || c.Pattern > 4 {
 		return fmt.Errorf("pattern must be in 0..4, got %d", c.Pattern)

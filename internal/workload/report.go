@@ -98,7 +98,7 @@ type Report struct {
 	// actually-injected event timeline and the closing-check verdicts.
 	Nemesis *NemesisReport `json:"nemesis,omitempty"`
 
-	// Compaction is the log-compaction section of a Config.Compact run:
+	// Compaction is the log-compaction section of every kv run:
 	// aggregated checkpoint/truncation counters and the peak slot occupancy
 	// against the slot budget the run was configured with.
 	Compaction *CompactionReport `json:"compaction,omitempty"`
@@ -265,17 +265,16 @@ func buildReport(cfg Config, measured time.Duration, qs quorum.System, callers [
 		r.Nemesis = nem.report()
 	}
 	if kt, ok := tgt.(*kvTarget); ok {
-		if m, interval, budget, on := kt.compactionReport(); on {
-			r.Compaction = &CompactionReport{
-				Interval:         interval,
-				SlotBudget:       budget,
-				Checkpoints:      m.Checkpoints,
-				Truncations:      m.Truncations,
-				SlotsFreed:       m.SlotsFreed,
-				InstallsSent:     m.InstallsSent,
-				InstallsReceived: m.InstallsReceived,
-				PeakOccupancy:    m.PeakOccupancy,
-			}
+		m := kt.kv.CompactionMetrics()
+		r.Compaction = &CompactionReport{
+			Interval:         kt.compactInterval,
+			SlotBudget:       kt.slotBudget,
+			Checkpoints:      m.Checkpoints,
+			Truncations:      m.Truncations,
+			SlotsFreed:       m.SlotsFreed,
+			InstallsSent:     m.InstallsSent,
+			InstallsReceived: m.InstallsReceived,
+			PeakOccupancy:    m.PeakOccupancy,
 		}
 	}
 	return r

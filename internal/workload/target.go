@@ -97,14 +97,6 @@ func clusterOptions(cfg Config, qs quorum.System, shard int) ([]core.Option, err
 		// of reads land at a holder and go local.
 		opts = append(opts, core.WithLease(cfg.Lease))
 	}
-	if cfg.Compact {
-		// cfg.Slots is already the per-shard budget here (newKVTarget divides
-		// before building the per-shard closure), so the derived checkpoint
-		// cadence tracks the window each group actually runs.
-		opts = append(opts, core.WithCompaction(smr.CompactionOptions{
-			Interval: compactionInterval(cfg.Slots),
-		}))
-	}
 	if cfg.Nemesis != "" && shard == 0 {
 		// The chaos shard: probe clients route through this group while the
 		// scenario engine crashes nodes and degrades links, so failover-safe
@@ -220,26 +212,10 @@ func newTarget(cfg Config) (target, error) {
 	}
 }
 
-// compactionInterval derives the checkpoint cadence from the per-shard slot
-// budget: a quarter of the window keeps several checkpoints' headroom ahead
-// of truncation, floored at 16 so tiny budgets do not checkpoint on every
-// other decision, and capped at the window itself so a checkpoint always
-// fires before the window can fill.
-func compactionInterval(perShardSlots int) int64 {
-	iv := int64(perShardSlots / 4)
-	if iv < 16 {
-		iv = 16
-	}
-	if iv > int64(perShardSlots) {
-		iv = int64(perShardSlots)
-	}
-	return iv
-}
-
 // newKVTarget deploys the (possibly sharded) KV target: cfg.Shards
 // independent quorum-system groups behind a consistent-hash ring. One shard
 // is the plain single-group deployment. Config.Slots is the deployment's
-// total log capacity, divided evenly across shards: comparing shard counts
+// total slot window, divided evenly across shards: comparing shard counts
 // at a fixed -slots compares equal resource budgets (slot instances cost
 // startup work, memory and per-view batching at every node), so measured
 // speedups are scaling, not extra provisioning.
@@ -285,11 +261,11 @@ func newKVTarget(cfg Config) (target, error) {
 		st.Close()
 		return nil, err
 	}
-	t := &kvTarget{st: st, kv: kv, syncReads: cfg.SyncReads, lease: cfg.Lease > 0, skews: skews}
-	if cfg.Compact {
-		t.compact = true
-		t.compactInterval = compactionInterval(cfg.Slots)
-		t.slotBudget = cfg.Slots * cfg.Shards // per-shard window × shards
+	t := &kvTarget{st: st, kv: kv, syncReads: cfg.SyncReads, lease: cfg.Lease > 0, skews: skews,
+		// cfg.Slots is the per-shard window here: each group's log derives
+		// its checkpoint cadence from it.
+		compactInterval: smr.DefaultInterval(cfg.Slots),
+		slotBudget:      cfg.Slots * cfg.Shards,
 	}
 	t.keys = make([]string, cfg.Keys)
 	t.keyShard = make([]int, cfg.Keys)
@@ -388,21 +364,11 @@ type kvTarget struct {
 	// skews are the chaos shard's per-process lease clocks (nemesis runs
 	// only; nil otherwise). The scenario engine steps them on skew events.
 	skews []*clock.Skewed
-	// compact wiring (Config.Compact): the derived checkpoint cadence and
-	// the deployment-wide slot budget, reported next to the aggregated
-	// counters so a run's occupancy bound reads off one section.
-	compact         bool
+	// The per-shard checkpoint cadence and the deployment-wide slot budget,
+	// reported next to the aggregated compaction counters so a run's
+	// occupancy bound reads off one section.
 	compactInterval int64
 	slotBudget      int
-}
-
-// compactionReport aggregates the compaction counters across shards for the
-// report; ok=false when the run was not opened with Config.Compact.
-func (t *kvTarget) compactionReport() (smr.CompactionMetrics, int64, int, bool) {
-	if !t.compact {
-		return smr.CompactionMetrics{}, 0, 0, false
-	}
-	return t.kv.CompactionMetrics(), t.compactInterval, t.slotBudget, true
 }
 
 // probeKeys returns up to max distinct keys that the ring places on shard 0
