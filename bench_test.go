@@ -1,7 +1,7 @@
-// Benchmarks regenerating every experiment of the reproduction (see
-// README.md for the commands that render the experiment tables). Each
-// BenchmarkE* target corresponds to a figure, worked example or theorem of
-// the paper; micro-benchmarks for the substrates follow.
+// Benchmarks of the reproduction: BenchmarkExperiments smokes every
+// experiment table (see README.md for the commands that render them), the
+// workload and ms-delay KV targets follow, then micro-benchmarks for the
+// substrates.
 //
 // Run with: go test -bench=. -benchmem
 package gqs
@@ -33,232 +33,32 @@ func benchConfig() harness.Config {
 	}
 }
 
-func requireTable(b *testing.B, t *harness.Table, err error) {
-	b.Helper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(t.Rows) == 0 {
-		b.Fatal("experiment produced no rows")
-	}
-}
-
-// BenchmarkE01_Figure1Validation — Figure 1 / Examples 2,7,8: validating the
-// running-example GQS (consistency, availability, U_f computation).
-func BenchmarkE01_Figure1Validation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E01Figure1Validation()
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE02_Example9Existence — Example 9: the GQS existence decision for
-// F (exists) and F' (does not exist).
-func BenchmarkE02_Example9Existence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E02Example9Existence()
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE03_ClassicalEquivalence — Examples 4-6: GQS existence coincides
-// with n >= 2k+1 on crash-only threshold systems.
-func BenchmarkE03_ClassicalEquivalence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E03ClassicalEquivalence()
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE04_ClassicalQAF — Figure 2 access functions on a crash-only
-// majority system.
-func BenchmarkE04_ClassicalQAF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E04ClassicalQAF(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE05_GeneralizedQAF — Figure 3 access functions under all four
-// Figure-1 patterns with real-time-ordering verification.
-func BenchmarkE05_GeneralizedQAF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E05GeneralizedQAF(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE06_RegisterLinearizability — Figure 4 register workload at U_f1
-// under f1 (full checker-based validation runs in the test suite).
-func BenchmarkE06_RegisterLinearizability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E06Register(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE07_Snapshot — atomic snapshot update/scan under f1.
-func BenchmarkE07_Snapshot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E07Snapshot(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE08_LatticeAgreement — lattice agreement proposals at U_f1 under
-// f1 with validity/comparability verification.
-func BenchmarkE08_LatticeAgreement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E08LatticeAgreement(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE09_ViewSyncOverlap — Proposition 2: the analytic overlap series.
-func BenchmarkE09_ViewSyncOverlap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E09ViewSyncOverlap()
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE10_Consensus — Figure 6 consensus under all Figure-1 patterns.
-func BenchmarkE10_Consensus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E10Consensus(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE10b_ConsensusGST — decision latency vs GST under partial
-// synchrony.
-func BenchmarkE10b_ConsensusGST(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E10bConsensusGST(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE11_BaselineComparison — GQS register vs classical ABD: the
-// stall-vs-complete comparison plus failure-free overhead.
-func BenchmarkE11_BaselineComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E11BaselineComparison(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE12_ThresholdSweep — the decision procedure's cost across
-// threshold systems n=3..11.
-func BenchmarkE12_ThresholdSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E12ThresholdSweep()
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE13_PropagationBatching — ablation: per-instance vs batched
-// periodic propagation.
-func BenchmarkE13_PropagationBatching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E13PropagationBatching(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE14_TransportModes — ablation: routed vs flooded vs direct
-// transitivity simulation.
-func BenchmarkE14_TransportModes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E14TransportModes(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE15_ScenarioCatalog — decision procedure + metrics over the
-// realistic failure-scenario catalog.
-func BenchmarkE15_ScenarioCatalog(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E15ScenarioCatalog()
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE16_ReplicatedKV — the SMR application layer (replicated KV)
-// failure-free and under pattern f1.
-func BenchmarkE16_ReplicatedKV(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E16ReplicatedKV(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE17_Workload — the workload engine's scenario table (sustained
-// load, tail latency, U_f cliff).
-func BenchmarkE17_Workload(b *testing.B) {
-	skipHeavyBenchShort(b)
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E17Workload(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE18_ShardScaling — sharded KV throughput vs shard count at
-// ms-scale delays (multi-second workload runs per iteration).
-func BenchmarkE18_ShardScaling(b *testing.B) {
-	skipHeavyBenchShort(b)
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E18ShardScaling(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE19_BatchingSweep — group-commit batch-size sweep at a pinned
-// 1ms one-way delay (multi-second workload runs per iteration).
-func BenchmarkE19_BatchingSweep(b *testing.B) {
-	skipHeavyBenchShort(b)
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E19BatchingSweep(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE20_ReadPathSweep — barrier-per-read vs leased linearizable
-// reads at ms-scale delays (multi-second workload runs per iteration).
-func BenchmarkE20_ReadPathSweep(b *testing.B) {
-	skipHeavyBenchShort(b)
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E20ReadPathSweep(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE21_NemesisScenarios — seeded chaos scenarios against the
-// sharded/batched/leased KV, closed by the lincheck and graceful-degradation
-// checks (multi-second workload runs per iteration).
-func BenchmarkE21_NemesisScenarios(b *testing.B) {
-	skipHeavyBenchShort(b)
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E21NemesisScenarios(context.Background(), benchConfig())
-		requireTable(b, t, err)
-	}
-}
-
-// BenchmarkE22_CompactionSoak — the compaction soak and crash-rejoin
-// scenarios: sustained writes past the slot budget with zero write errors,
-// and a dark replica healed by snapshot-install (multi-second workload runs
-// per iteration).
-func BenchmarkE22_CompactionSoak(b *testing.B) {
-	skipHeavyBenchShort(b)
-	for i := 0; i < b.N; i++ {
-		t, err := harness.E22CompactionSoak(context.Background(), benchConfig())
-		requireTable(b, t, err)
+// BenchmarkExperiments runs every entry of harness.Experiments, one
+// sub-benchmark per ID (BenchmarkExperiments/E17). It is a smoke run that
+// keeps the experiments from rotting, not a measurement: the tables carry
+// the results. -short skips the Heavy entries.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range harness.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			if e.Heavy {
+				skipHeavyBenchShort(b)
+			}
+			for i := 0; i < b.N; i++ {
+				t, err := e.Run(context.Background(), benchConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(t.Rows) == 0 {
+					b.Fatal("experiment produced no rows")
+				}
+			}
+		})
 	}
 }
 
 // skipHeavyBenchShort keeps the CI bench-smoke step (-benchtime 1x -short)
 // from starving on multi-second workload benchmarks; the bench-trend job
-// runs the ms-delay targets without -short and pins -benchtime instead.
+// runs them without -short and pins -benchtime instead.
 func skipHeavyBenchShort(b *testing.B) {
 	b.Helper()
 	if testing.Short() {

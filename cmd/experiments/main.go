@@ -1,6 +1,7 @@
 // Command experiments regenerates every experiment table of the
-// reproduction (E01-E22; each table's header names the figure, example or
-// theorem of the paper it maps to — see README.md for the overview).
+// reproduction, in the order of harness.Experiments (E01-E22; each table's
+// header names the figure, example or theorem of the paper it maps to —
+// see README.md for the overview).
 //
 // Usage:
 //
@@ -32,10 +33,18 @@ func run(args []string) error {
 		return err
 	}
 	cfg := harness.Config{Seed: *seed}
+	render := (*harness.Table).Render
+	if *markdown {
+		render = (*harness.Table).Markdown
+	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
-	if *markdown {
-		return harness.RunAllMarkdown(ctx, os.Stdout, cfg)
+	for _, e := range harness.Experiments {
+		t, err := e.Run(ctx, cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		render(t, os.Stdout)
 	}
-	return harness.RunAll(ctx, os.Stdout, cfg)
+	return nil
 }

@@ -13,12 +13,12 @@ import (
 	"repro/internal/transport"
 )
 
-// E13PropagationBatching is an ablation of a deliberate design choice:
+// e13PropagationBatching is an ablation of a deliberate design choice:
 // each node hosting k objects can run k private propagation
 // tickers (the literal reading of Figure 3, one per instance) or one shared
 // batched push. Both are protocol-equivalent; the table quantifies the
 // message-count difference and confirms operations behave identically.
-func E13PropagationBatching(ctx context.Context, cfg Config) (*Table, error) {
+func e13PropagationBatching(ctx context.Context, cfg Config) (*Table, error) {
 	qs := quorum.Figure1()
 	const objects = 4
 	t := NewTable("E13", "Ablation: per-instance vs batched periodic propagation (4 objects/node, 100ms window)",
@@ -98,12 +98,12 @@ func E13PropagationBatching(ctx context.Context, cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// E14TransportModes is an ablation of the transitivity simulation: the
+// e14TransportModes is an ablation of the transitivity simulation: the
 // paper's literal flooding ("all processes forward every received message")
 // versus the routed shortest-path equivalent this library defaults to, and
 // the direct mode that drops transitivity entirely. Flood and route must
 // agree observationally; direct must break liveness under f1.
-func E14TransportModes(ctx context.Context, cfg Config) (*Table, error) {
+func e14TransportModes(ctx context.Context, cfg Config) (*Table, error) {
 	qs := quorum.Figure1()
 	t := NewTable("E14", "Ablation: transitivity simulation (pattern f1, one write+read at U_f1)",
 		"mode", "outcome", "latency", "msgs sent", "relay hops")

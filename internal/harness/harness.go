@@ -1,7 +1,7 @@
 // Package harness provides the experiment infrastructure that regenerates
 // every figure and worked example of the paper as an executable check or
-// measurement. Each experiment returns a Table; cmd/experiments renders
-// them all (plain text or markdown).
+// measurement. Each entry of Experiments returns a Table; cmd/experiments
+// renders them all (plain text or markdown).
 package harness
 
 import (

@@ -62,89 +62,63 @@ func TestHelpers(t *testing.T) {
 	}
 }
 
-// The pure (non-cluster) experiments must succeed and produce sensible rows.
-func TestPureExperiments(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  func() (*Table, error)
-		rows int
-	}{
-		{"E01", E01Figure1Validation, 4},
-		{"E02", E02Example9Existence, 2},
-		{"E09", E09ViewSyncOverlap, 7},
-	} {
-		tbl, err := tc.run()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+// TestExperiments checks the registry itself: every entry has a Run and
+// no ID is listed twice.
+func TestExperiments(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		if e.Run == nil {
+			t.Errorf("experiment %s has no Run", e.ID)
 		}
-		if len(tbl.Rows) != tc.rows {
-			t.Errorf("%s: %d rows, want %d", tc.name, len(tbl.Rows), tc.rows)
+		if seen[e.ID] {
+			t.Errorf("experiment ID %s registered twice", e.ID)
 		}
-	}
-	// E03/E12 row counts vary; just check success.
-	if _, err := E03ClassicalEquivalence(); err != nil {
-		t.Fatalf("E03: %v", err)
+		seen[e.ID] = true
 	}
 }
 
-// The cluster-based experiments run with fast settings.
-func TestClusterExperiments(t *testing.T) {
-	cfg := fastCfg()
-	for _, tc := range []struct {
-		name string
-		run  func() (*Table, error)
-	}{
-		{"E04", func() (*Table, error) { return E04ClassicalQAF(context.Background(), cfg) }},
-		{"E05", func() (*Table, error) { return E05GeneralizedQAF(context.Background(), cfg) }},
-		{"E06", func() (*Table, error) { return E06Register(context.Background(), cfg) }},
-		{"E11", func() (*Table, error) { return E11BaselineComparison(context.Background(), cfg) }},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			tbl, err := tc.run()
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if len(tbl.Rows) == 0 {
-				t.Fatalf("%s produced no rows", tc.name)
-			}
-		})
+// Each registry entry runs under one of three tests, named for the classes
+// the experiments were first written in: the pure (non-cluster) checks, the
+// light cluster runs, and the rest. The grouping only keeps the test names
+// stable; Heavy alone decides what -short skips.
+func testGroup(id string) string {
+	switch id {
+	case "E01", "E02", "E03", "E09":
+		return "pure"
+	case "E04", "E05", "E06", "E11":
+		return "cluster"
 	}
+	return "heavy"
 }
 
-func TestHeavyClusterExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy experiments skipped in -short mode")
-	}
-	cfg := fastCfg()
-	for _, tc := range []struct {
-		name string
-		run  func() (*Table, error)
-	}{
-		{"E07", func() (*Table, error) { return E07Snapshot(context.Background(), cfg) }},
-		{"E08", func() (*Table, error) { return E08LatticeAgreement(context.Background(), cfg) }},
-		{"E10", func() (*Table, error) { return E10Consensus(context.Background(), cfg) }},
-		{"E10b", func() (*Table, error) { return E10bConsensusGST(context.Background(), cfg) }},
-		{"E12", E12ThresholdSweep},
-		{"E13", func() (*Table, error) { return E13PropagationBatching(context.Background(), cfg) }},
-		{"E14", func() (*Table, error) { return E14TransportModes(context.Background(), cfg) }},
-		{"E15", E15ScenarioCatalog},
-		{"E16", func() (*Table, error) { return E16ReplicatedKV(context.Background(), cfg) }},
-		{"E17", func() (*Table, error) { return E17Workload(context.Background(), cfg) }},
-		{"E18", func() (*Table, error) { return E18ShardScaling(context.Background(), cfg) }},
-		{"E19", func() (*Table, error) { return E19BatchingSweep(context.Background(), cfg) }},
-		{"E20", func() (*Table, error) { return E20ReadPathSweep(context.Background(), cfg) }},
-		{"E21", func() (*Table, error) { return E21NemesisScenarios(context.Background(), cfg) }},
-		{"E22", func() (*Table, error) { return E22CompactionSoak(context.Background(), cfg) }},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			tbl, err := tc.run()
+func TestPureExperiments(t *testing.T)         { runExperiments(t, "pure") }
+func TestClusterExperiments(t *testing.T)      { runExperiments(t, "cluster") }
+func TestHeavyClusterExperiments(t *testing.T) { runExperiments(t, "heavy") }
+
+// runExperiments runs the registry entries of one test group with fast
+// settings; -short skips the Heavy ones.
+func runExperiments(t *testing.T, group string) {
+	wantRows := map[string]int{"E01": 4, "E02": 2, "E09": 7}
+	for _, e := range Experiments {
+		if testGroup(e.ID) != group {
+			continue
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			if e.Heavy && testing.Short() {
+				t.Skip("Heavy experiment skipped in -short mode")
+			}
+			tbl, err := e.Run(context.Background(), fastCfg())
 			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
+				t.Fatal(err)
+			}
+			if tbl.ID != e.ID {
+				t.Errorf("table ID %s under registry ID %s", tbl.ID, e.ID)
 			}
 			if len(tbl.Rows) == 0 {
-				t.Fatalf("%s produced no rows", tc.name)
+				t.Fatal("no rows")
+			}
+			if want, ok := wantRows[e.ID]; ok && len(tbl.Rows) != want {
+				t.Errorf("%d rows, want %d", len(tbl.Rows), want)
 			}
 		})
 	}

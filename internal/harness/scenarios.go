@@ -1,17 +1,18 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/failure"
 	"repro/internal/quorum"
 )
 
-// E15ScenarioCatalog runs the decision procedure and metrics over the
+// e15ScenarioCatalog runs the decision procedure and metrics over the
 // library's catalog of realistic failure scenarios, showing how GQS
 // connectivity requirements specialize across them. It extends the paper's
 // Example-based evaluation to deployment-shaped fail-prone systems.
-func E15ScenarioCatalog() (*Table, error) {
+func e15ScenarioCatalog(context.Context, Config) (*Table, error) {
 	t := NewTable("E15", "Scenario catalog: GQS existence + structural metrics",
 		"scenario", "n", "patterns", "GQS", "write quorums (min-max)", "read load", "U_f (min-max)")
 

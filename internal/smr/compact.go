@@ -48,7 +48,9 @@ const DefaultAckTimeout = 2 * time.Second
 type CompactionOptions struct {
 	// Interval is the checkpoint cadence in slots: a process checkpoints
 	// whenever its decided prefix has grown by Interval slots since its last
-	// checkpoint. Zero takes DefaultInterval of the slot window.
+	// checkpoint. Zero takes DefaultInterval of the slot window; a value
+	// above the window is capped at it, since only a checkpoint extends the
+	// window and one that never fires would stall the log.
 	Interval int64
 	// AckTimeout bounds how long truncation waits for every peer's
 	// checkpoint announcement. Peers still short of a frontier when the
@@ -74,6 +76,7 @@ func (o CompactionOptions) withDefaults(slots int) CompactionOptions {
 	if o.Interval <= 0 {
 		o.Interval = DefaultInterval(slots)
 	}
+	o.Interval = min(o.Interval, int64(slots))
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = DefaultAckTimeout
 	}

@@ -3,6 +3,7 @@ package smr
 import (
 	"fmt"
 	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,6 +88,55 @@ func TestRecycledSlotsProposableMidView(t *testing.T) {
 	}
 	if m := c.kvs[0].CompactionMetrics(); m.SlotsFreed == 0 {
 		t.Fatalf("the window never recycled a slot: %+v", m)
+	}
+}
+
+// TestCompactionIntervalAboveWindowCapped: an explicit checkpoint interval
+// wider than the slot window is capped at the window. Uncapped, the first
+// checkpoint waited for a decided prefix the window could never reach, and
+// the ninth one-per-slot write parked until its context expired.
+func TestCompactionIntervalAboveWindowCapped(t *testing.T) {
+	c := newCompactCluster(t, func(o *Options) {
+		o.Batch = BatchOptions{MaxOps: 1}
+		o.Compaction.Interval = 64
+	})
+	defer c.stop()
+	ctx := ctxSec(t, 30)
+	for i := 0; i < 24; i++ {
+		if _, err := c.kvs[0].Set(ctx, "k", fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+	}
+	if m := c.kvs[0].CompactionMetrics(); m.Truncations == 0 {
+		t.Fatalf("no truncation through an 8-slot window: %+v", m)
+	}
+}
+
+// TestDecidedPrefixNamesLogicalSlot: a corrupt batch is reported by its
+// logical slot, not by its offset into the live window, once truncation
+// has moved the window's base off zero.
+func TestDecidedPrefixNamesLogicalSlot(t *testing.T) {
+	c := newCompactCluster(t, nil)
+	defer c.stop()
+	ctx := ctxSec(t, 60)
+	kv, l := c.kvs[0], c.kvs[0].log
+	for i := 0; kv.CompactionMetrics().Truncations == 0; i++ {
+		if _, err := kv.Set(ctx, "k", fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+	}
+	var base int64
+	c.nodes[0].Call(func() {
+		base = l.base
+		l.decided[base] = "not a batch"
+		delete(l.skipped, base)
+	})
+	if base == 0 {
+		t.Fatal("truncation left the base at 0")
+	}
+	_, err := l.DecidedPrefix(ctx)
+	if want := fmt.Sprintf("corrupt batch in slot %d:", base); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("DecidedPrefix error = %v, want prefix %q", err, want)
 	}
 }
 

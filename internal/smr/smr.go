@@ -702,15 +702,17 @@ func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 // DecidedPrefix returns the applied commands of slots [base, k) where k is
 // the first undecided slot at this process and base is the live window's
 // start (the truncated prefix below base lives on only inside checkpoints,
-// so two processes may report different starts), flattening group-commit batches back into their ordered per-command
-// sequence (one decided slot may contribute several commands) and leaving
-// out the sub-batches skipped at apply as already applied. The context
-// bounds the wait for the event loop (a loaded loop services the request
-// only after the work ahead of it); it returns ErrStopped after the log's
-// node has stopped.
+// so two processes may report different starts), flattening group-commit
+// batches back into their ordered per-command sequence (one decided slot
+// may contribute several commands) and leaving out the sub-batches skipped
+// at apply as already applied. The context bounds the wait for the event
+// loop (a loaded loop services the request only after the work ahead of
+// it); it returns ErrStopped after the log's node has stopped.
 func (l *Log) DecidedPrefix(ctx context.Context) ([]string, error) {
+	var base int64
 	ch := make(chan []string, 1)
 	err := l.n.CallCtx(ctx, func() {
+		base = l.base
 		var out []string
 		for s := l.base; s < l.base+int64(len(l.slots)); s++ {
 			v, ok := l.decided[s]
@@ -732,10 +734,10 @@ func (l *Log) DecidedPrefix(ctx context.Context) ([]string, error) {
 	}
 	raw := <-ch
 	out := make([]string, 0, len(raw))
-	for s, v := range raw {
+	for i, v := range raw {
 		cmds, err := SlotCommands(v)
 		if err != nil {
-			return nil, fmt.Errorf("corrupt batch in slot %d: %w", s, err)
+			return nil, fmt.Errorf("corrupt batch in slot %d: %w", base+int64(i), err)
 		}
 		out = append(out, cmds...)
 	}
