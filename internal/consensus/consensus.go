@@ -31,39 +31,17 @@ const (
 	phaseDecide
 )
 
-// Wire bodies. HasVal distinguishes ⊥ from an empty-string value.
-type (
-	msg1B struct {
-		View   int64  `json:"view"`
-		AView  int64  `json:"aview"`
-		Val    string `json:"val"`
-		HasVal bool   `json:"has_val"`
-		// Mine forwards the sender's own not-yet-accepted proposal. Figure 6
-		// only lets a leader propose its local value (line 11 skips its turn
-		// otherwise), which serializes commits behind leadership rotation:
-		// a proposal registered at a non-leader waits out the rotation even
-		// when the leader is idle. Consensus may decide any proposed value,
-		// so carrying the proposal in the 1B lets the current leader adopt
-		// it immediately — the accepted-value precedence rule (lines 10-15)
-		// stays untouched, so safety is unchanged.
-		Mine    string `json:"mine,omitempty"`
-		HasMine bool   `json:"has_mine,omitempty"`
-	}
-	msg2A struct {
-		View int64  `json:"view"`
-		Val  string `json:"val"`
-	}
-	msg2B struct {
-		View int64  `json:"view"`
-		Val  string `json:"val"`
-	}
-	// msgDec pushes a learned decision. Decided processes stop entering
-	// views; instead they announce the decision once and answer any later
-	// protocol message for the instance with it.
-	msgDec struct {
-		Val string `json:"val"`
-	}
-)
+// Wire bodies: wire.OneB, wire.Accept (2A and 2B) and wire.Decision. A 1B
+// also forwards the sender's own not-yet-accepted proposal (Mine). Figure 6
+// only lets a leader propose its local value (line 11 skips its turn
+// otherwise), which serializes commits behind leadership rotation: a
+// proposal registered at a non-leader waits out the rotation even when the
+// leader is idle. Consensus may decide any proposed value, so carrying the
+// proposal in the 1B lets the current leader adopt it immediately — the
+// accepted-value precedence rule (lines 10-15) stays untouched, so safety
+// is unchanged. Decided processes stop entering views; instead they
+// announce the decision once and answer any later protocol message for
+// the instance with it.
 
 // oneB is a recorded 1B message.
 type oneB struct {
@@ -118,9 +96,9 @@ type Consensus struct {
 	myVal     string
 	hasMine   bool
 	ph        phase
-	oneBs     map[int64]map[failure.Proc]oneB   // per-view 1B messages (leader)
-	twoBs     map[int64]map[failure.Proc]string // per-view 2B messages
-	future1Bs map[int64]map[failure.Proc]msg1B  // 1Bs for views we have not entered yet
+	oneBs     map[int64]map[failure.Proc]oneB      // per-view 1B messages (leader)
+	twoBs     map[int64]map[failure.Proc]string    // per-view 2B messages
+	future1Bs map[int64]map[failure.Proc]wire.OneB // 1Bs for views we have not entered yet
 	decided   bool
 	decVal    string
 	// announced records that this process pushed its decision to every
@@ -161,7 +139,7 @@ func New(n *node.Node, opts Options) *Consensus {
 		writes:    opts.Writes,
 		oneBs:     make(map[int64]map[failure.Proc]oneB),
 		twoBs:     make(map[int64]map[failure.Proc]string),
-		future1Bs: make(map[int64]map[failure.Proc]msg1B),
+		future1Bs: make(map[int64]map[failure.Proc]wire.OneB),
 		onDecide:  opts.OnDecide,
 		onActive:  opts.OnActive,
 		topic1B:   opts.Name + "/1b",
@@ -241,7 +219,7 @@ func (c *Consensus) stepView(v int64, suppressIdle bool) (idle bool) {
 		return true
 	}
 	leader := failure.Proc(viewsync.Leader(viewsync.View(v), c.n.ClusterSize()))
-	c.n.Send(leader, c.topic1B, msg1B{
+	c.n.Send(leader, c.topic1B, wire.OneB{
 		View: v, AView: c.aview, Val: c.val, HasVal: c.hasVal,
 		Mine: c.myVal, HasMine: c.hasMine,
 	})
@@ -252,7 +230,7 @@ func (c *Consensus) stepView(v int64, suppressIdle bool) (idle bool) {
 }
 
 // Default1B injects the 1B an idle process batched for this instance: the
-// leader treats it exactly as an arriving msg1B{View: view, AView: 0,
+// leader treats it exactly as an arriving wire.OneB{View: view, AView: 0,
 // HasVal: false}. It must run on the node's event loop. Defaults are the
 // "nothing is happening here" signal, so they deliberately do NOT activate
 // a virgin instance, and they never displace a 1B already recorded from
@@ -264,7 +242,7 @@ func (c *Consensus) Default1B(from failure.Proc, view int64) {
 			return
 		}
 	}
-	c.handle1B(from, msg1B{View: view})
+	c.handle1B(from, wire.OneB{View: view})
 }
 
 // activate fires the one-shot activity notification. Every direct protocol
@@ -290,10 +268,10 @@ func (c *Consensus) on1B(from failure.Proc, m wire.Message) {
 	}
 	if c.decided {
 		c.activate()
-		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
+		c.n.Send(from, c.topicDec, wire.Decision{Val: c.decVal})
 		return
 	}
-	var b msg1B
+	var b wire.OneB
 	if wire.Decode(m, &b) != nil {
 		return
 	}
@@ -305,13 +283,13 @@ func (c *Consensus) on1B(from failure.Proc, m wire.Message) {
 const future1BWindow = 4
 
 // handle1B implements the leader's proposal rule (Figure 6, lines 8-16).
-func (c *Consensus) handle1B(from failure.Proc, b msg1B) {
+func (c *Consensus) handle1B(from failure.Proc, b wire.OneB) {
 	if c.stopped {
 		return
 	}
 	if c.decided {
 		// The sender is still running the slot; hand it the decision.
-		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
+		c.n.Send(from, c.topicDec, wire.Decision{Val: c.decVal})
 		return
 	}
 	if b.View > c.view && b.View <= c.view+future1BWindow {
@@ -322,7 +300,7 @@ func (c *Consensus) handle1B(from failure.Proc, b msg1B) {
 		// or a forwarded proposal) — mirror Default1B's current-view dedup.
 		m := c.future1Bs[b.View]
 		if m == nil {
-			m = make(map[failure.Proc]msg1B)
+			m = make(map[failure.Proc]wire.OneB)
 			c.future1Bs[b.View] = m
 		}
 		if _, parked := m[from]; parked && !b.HasVal && !b.HasMine {
@@ -419,7 +397,7 @@ func (c *Consensus) tryPropose() {
 			}
 		}
 	}
-	c.n.Broadcast(c.topic2A, msg2A{View: c.view, Val: chosen})
+	c.n.Broadcast(c.topic2A, wire.Accept{View: c.view, Val: chosen})
 	c.ph = phasePropose
 }
 
@@ -433,7 +411,7 @@ func (c *Consensus) on2A(from failure.Proc, m wire.Message) {
 		c.answerLate(from)
 		return
 	}
-	var a msg2A
+	var a wire.Accept
 	if wire.Decode(m, &a) != nil {
 		return
 	}
@@ -447,7 +425,7 @@ func (c *Consensus) on2A(from failure.Proc, m wire.Message) {
 	c.val = a.Val
 	c.hasVal = true
 	c.aview = c.view
-	c.n.Broadcast(c.topic2B, msg2B{View: c.view, Val: a.Val})
+	c.n.Broadcast(c.topic2B, wire.Accept{View: c.view, Val: a.Val})
 	c.ph = phaseAccept
 }
 
@@ -462,7 +440,7 @@ func (c *Consensus) on2B(from failure.Proc, m wire.Message) {
 		c.answerLate(from)
 		return
 	}
-	var b msg2B
+	var b wire.Accept
 	if wire.Decode(m, &b) != nil {
 		return
 	}
@@ -500,7 +478,7 @@ func (c *Consensus) on2B(from failure.Proc, m wire.Message) {
 func (c *Consensus) answerLate(from failure.Proc) {
 	c.activate()
 	if !c.announced {
-		c.n.Send(from, c.topicDec, msgDec{Val: c.decVal})
+		c.n.Send(from, c.topicDec, wire.Decision{Val: c.decVal})
 	}
 }
 
@@ -511,7 +489,7 @@ func (c *Consensus) onDec(from failure.Proc, m wire.Message) {
 	if c.stopped || c.decided {
 		return
 	}
-	var d msgDec
+	var d wire.Decision
 	if wire.Decode(m, &d) != nil {
 		return
 	}
@@ -554,7 +532,7 @@ func (c *Consensus) decide(val string, announce bool) {
 	c.waiters = nil
 	if announce {
 		c.announced = true
-		c.n.Multicast(c.peers, c.topicDec, msgDec{Val: val})
+		c.n.Multicast(c.peers, c.topicDec, wire.Decision{Val: val})
 	}
 	if c.onDecide != nil {
 		c.onDecide(val)
@@ -606,7 +584,7 @@ func (c *Consensus) Propose(ctx context.Context, x string) (string, error) {
 			case int(leader) == int(c.n.ID()):
 				c.tryPropose()
 			case c.sentMineView != c.view:
-				c.n.Send(leader, c.topic1B, msg1B{
+				c.n.Send(leader, c.topic1B, wire.OneB{
 					View: c.view, AView: c.aview, Val: c.val, HasVal: c.hasVal,
 					Mine: c.myVal, HasMine: true,
 				})

@@ -44,7 +44,7 @@ func TestConsensusLate2BAnsweredOnlyAfterLearn(t *testing.T) {
 			decs := make(chan string, 8)
 			marker := make(chan struct{}, 1)
 			n1.Handle("x/dec", func(_ failure.Proc, m wire.Message) {
-				var d msgDec
+				var d wire.Decision
 				if wire.Decode(m, &d) == nil {
 					decs <- d.Val
 				}
@@ -54,15 +54,15 @@ func TestConsensusLate2BAnsweredOnlyAfterLearn(t *testing.T) {
 			n0.Call(func() { y.Learn("m") })
 			if tc.announce {
 				// A peer's decision makes x decide and announce in turn.
-				n1.Send(0, "x/dec", msgDec{Val: "v"})
+				n1.Send(0, "x/dec", wire.Decision{Val: "v"})
 				if v := <-decs; v != "v" {
 					t.Fatalf("announcement carried %q", v)
 				}
 			} else {
 				n0.Call(func() { x.Learn("v") })
 			}
-			n1.Send(0, "x/2b", msg2B{View: 1, Val: "v"})
-			n1.Send(0, "y/1b", msg1B{View: 1})
+			n1.Send(0, "x/2b", wire.Accept{View: 1, Val: "v"})
+			n1.Send(0, "y/1b", wire.OneB{View: 1})
 			select {
 			case <-marker:
 			case <-time.After(10 * time.Second):

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/quorum"
+	"repro/internal/transport"
 )
 
 func fastCfg() Config {
@@ -121,6 +122,29 @@ func runExperiments(t *testing.T, group string) {
 				t.Errorf("%d rows, want %d", len(tbl.Rows), want)
 			}
 		})
+	}
+}
+
+// TestE10bDecidedAfterGST: E10b's "decided after GST" column reads the
+// decision instant against GST, so it can read "no". With pre-GST hops of
+// at most 1ms and GST ten seconds out, consensus decides long before GST;
+// with every pre-GST hop held to GST, it cannot decide before.
+func TestE10bDecidedAfterGST(t *testing.T) {
+	ctx := context.Background()
+	_, after, err := e10bDecide(ctx, fastCfg(), 10*time.Second, transport.UniformDelay{Max: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after {
+		t.Error("a decision made before GST reads as decided after GST")
+	}
+	gst := 100 * time.Millisecond
+	lat, after, err := e10bDecide(ctx, fastCfg(), gst, transport.UniformDelay{Min: time.Hour, Max: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after || lat < gst/2 {
+		t.Errorf("with no message delivered before GST: decided after GST = %v, latency %v", after, lat)
 	}
 }
 

@@ -47,7 +47,6 @@ package lease
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,20 +116,27 @@ func (o Options) withDefaults() Options {
 // meta entry. Dur travels with the entry so writers gate by the duration
 // the holder actually committed to.
 type grantEntry struct {
-	Holder int    `json:"h"`
-	Seq    uint64 `json:"n"`
-	Dur    int64  `json:"d"` // nanoseconds
+	Holder int
+	Seq    uint64
+	Dur    int64 // nanoseconds
 }
 
-// askMsg asks the holder to acknowledge once its applied state covers Slot.
-type askMsg struct {
-	Slot int64 `json:"s"`
+// encode packs the entry's fields in order (see package wire).
+func (g grantEntry) encode() string {
+	b := wire.AppendVarint(nil, int64(g.Holder))
+	return string(wire.AppendVarint(wire.AppendUvarint(b, g.Seq), g.Dur))
 }
 
-// ackMsg is the holder's acknowledgment: its applied state covers UpTo.
-type ackMsg struct {
-	UpTo int64 `json:"u"`
+// decodeGrant unpacks a meta entry written by grantEntry.encode.
+func decodeGrant(meta string) (grantEntry, error) {
+	r := wire.NewReader(meta)
+	g := grantEntry{Holder: r.Int(), Seq: r.Uvarint(), Dur: r.Varint()}
+	return g, r.Done()
 }
+
+// Wire bodies: a writer's visibility ask is a wire.Slot naming the slot
+// the holder's applied state must cover, and the holder's ack a wire.Slot
+// naming the slot it covers.
 
 // Metrics is a point-in-time snapshot of one manager's counters.
 type Metrics struct {
@@ -195,8 +201,12 @@ type Manager struct {
 	// askWaiters holds one broadcast channel per slot this process's
 	// appends are gating on; closed (and removed) when an ack covers it.
 	askWaiters map[int64]chan struct{}
-	seq        uint64
-	stopped    bool
+	// seq numbers the holder's grants (unique for the manager's lifetime,
+	// which is its log endpoint's); sentAt is when the append of grant seq
+	// was invoked, where the validity it buys starts.
+	seq     uint64
+	sentAt  time.Time
+	stopped bool
 
 	grants, renewFails, served, fallbacks, gated atomic.Uint64
 
@@ -309,28 +319,18 @@ func (m *Manager) renewLoop() {
 	defer m.wg.Done()
 	for {
 		t0 := m.clk.Now()
-		entry, err := json.Marshal(grantEntry{
-			Holder: int(m.self), Seq: m.nextSeq(), Dur: int64(m.opts.Duration),
-		})
-		if err == nil {
-			ctx, cancel := context.WithTimeout(m.ctx, m.opts.Duration)
-			_, err = m.kv.AppendMeta(ctx, string(entry))
-			cancel()
-		}
+		entry := grantEntry{Holder: int(m.self), Seq: m.nextSeq(t0), Dur: int64(m.opts.Duration)}
+		ctx, cancel := context.WithTimeout(m.ctx, m.opts.Duration)
+		_, err := m.kv.AppendMeta(ctx, entry.encode())
+		cancel()
 		sleep := m.opts.Renew
 		if err != nil {
 			m.renewFails.Add(1)
 			sleep = m.opts.Renew / 2
 		} else {
 			m.grants.Add(1)
-			// Validity runs from the append's INVOCATION: no process can
-			// have applied the grant before then, so every writer's gate
-			// window (apply time + Dur + Skew) strictly outlasts it.
-			until := t0.Add(m.opts.Duration - m.opts.Skew)
 			m.mu.Lock()
-			if until.After(m.validUntil) {
-				m.validUntil = until
-			}
+			m.extendValidity(t0)
 			m.mu.Unlock()
 		}
 		if m.opts.onRenew != nil {
@@ -344,20 +344,35 @@ func (m *Manager) renewLoop() {
 	}
 }
 
-func (m *Manager) nextSeq() uint64 {
+// nextSeq numbers a grant whose append is invoked at t0.
+func (m *Manager) nextSeq(t0 time.Time) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.seq++
+	m.sentAt = t0
 	return m.seq
+}
+
+// extendValidity extends the holder's serve window for a committed grant
+// whose append was invoked at t0. Validity runs from the append's
+// INVOCATION: no process can have applied the grant before then, so every
+// writer's gate window (apply time + Dur + Skew) strictly outlasts it.
+// Callers hold m.mu.
+func (m *Manager) extendValidity(t0 time.Time) {
+	if until := t0.Add(m.opts.Duration - m.opts.Skew); !m.stopped && until.After(m.validUntil) {
+		m.validUntil = until
+	}
 }
 
 // onMeta applies a committed grant entry (node loop, commit order):
 // writers extend their conservative gate window from the local apply time.
-// Entries naming a process other than the configured holder are ignored
-// (single-holder protocol).
+// The holder applying its newest grant knows it committed, and its applied
+// state covers the grant's slot, so it serves from here on rather than
+// once the append's completion reaches renewLoop. Entries naming a process
+// other than the configured holder are ignored (single-holder protocol).
 func (m *Manager) onMeta(_ int64, meta string) {
-	var g grantEntry
-	if json.Unmarshal([]byte(meta), &g) != nil {
+	g, err := decodeGrant(meta)
+	if err != nil {
 		return
 	}
 	if failure.Proc(g.Holder) != m.opts.Holder {
@@ -367,6 +382,9 @@ func (m *Manager) onMeta(_ int64, meta string) {
 	m.mu.Lock()
 	if until.After(m.inForceUntil) {
 		m.inForceUntil = until
+	}
+	if m.self == m.opts.Holder && g.Seq == m.seq {
+		m.extendValidity(m.sentAt)
 	}
 	m.mu.Unlock()
 }
@@ -398,7 +416,7 @@ func (m *Manager) gate(slot int64) {
 		m.mu.Unlock()
 		// (Re)send the ask each pass: the first ask may have been lost to
 		// the very partition the window is riding out.
-		m.n.Send(m.opts.Holder, m.topicAsk, askMsg{Slot: slot})
+		m.n.Send(m.opts.Holder, m.topicAsk, wire.Slot{Slot: slot})
 		waited = true
 		timer := m.clk.NewTimer(m.clk.Until(deadline))
 		select {
@@ -420,7 +438,7 @@ func (m *Manager) gate(slot int64) {
 // wait is off-loop; it resolves immediately when the slot is already
 // covered.
 func (m *Manager) onAsk(from failure.Proc, msg wire.Message) {
-	var a askMsg
+	var a wire.Slot
 	if wire.Decode(msg, &a) != nil {
 		return
 	}
@@ -428,7 +446,7 @@ func (m *Manager) onAsk(from failure.Proc, msg wire.Message) {
 		if m.kv.WaitApplied(m.ctx, a.Slot) != nil {
 			return
 		}
-		m.n.Send(from, m.topicAck, ackMsg{UpTo: a.Slot})
+		m.n.Send(from, m.topicAck, wire.Slot{Slot: a.Slot})
 	}()
 }
 
@@ -439,13 +457,13 @@ func (m *Manager) onAck(from failure.Proc, msg wire.Message) {
 	if from != m.opts.Holder {
 		return
 	}
-	var a ackMsg
+	var a wire.Slot
 	if wire.Decode(msg, &a) != nil {
 		return
 	}
 	m.mu.Lock()
-	if a.UpTo > m.acked {
-		m.acked = a.UpTo
+	if a.Slot > m.acked {
+		m.acked = a.Slot
 	}
 	for slot, ch := range m.askWaiters {
 		if slot <= m.acked {

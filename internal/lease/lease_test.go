@@ -2,7 +2,6 @@ package lease
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -149,14 +148,11 @@ func newFakeRig(t *testing.T, self, holder failure.Proc) *fakeRig {
 // apply path would, naming the given holder.
 func (r *fakeRig) grant(t *testing.T, slot int64, holder failure.Proc) {
 	t.Helper()
-	entry, err := json.Marshal(grantEntry{Holder: int(holder), Seq: uint64(slot), Dur: int64(rigDur)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	entry := grantEntry{Holder: int(holder), Seq: uint64(slot), Dur: int64(rigDur)}
 	r.fs.mu.Lock()
 	obs := r.fs.observer
 	r.fs.mu.Unlock()
-	obs(slot, string(entry))
+	obs(slot, entry.encode())
 }
 
 // TestLeaseExpiryUnderPartition forces lease loss with no wall clock: the
@@ -216,6 +212,55 @@ func TestLeaseExpiryUnderPartition(t *testing.T) {
 
 // TestSkewWindowHolderSide pins the holder's conservative serve window:
 // validity runs exactly [t0, t0+Duration-Skew) measured from the grant
+// TestHolderServesOnApplyingItsGrant: the holder holds from the moment it
+// applies its newest grant, even when the append reported failure (a
+// renewal that timed out and committed late), with validity counted from
+// that append's invocation. An older grant of its own buys nothing.
+func TestHolderServesOnApplyingItsGrant(t *testing.T) {
+	r := newFakeRig(t, 0, 0)
+	if err := <-r.renewed; err != nil {
+		t.Fatalf("initial grant: %v", err)
+	}
+	r.fs.setFail(true)
+	r.fc.BlockUntil(1)
+	r.fc.Advance(rigRenew)
+	<-r.renewed
+	for i := 0; i < 5; i++ { // fake time 10.5s: the first grant lapsed at 9s
+		r.fc.BlockUntil(1)
+		r.fc.Advance(rigRenew / 2)
+		<-r.renewed
+	}
+	if r.mgr.Holding() {
+		t.Fatal("lease still valid after the validity window lapsed")
+	}
+	r.mgr.mu.Lock()
+	newest := r.mgr.seq
+	r.mgr.mu.Unlock()
+	r.grant(t, int64(newest-1), 0) // the slot doubles as the grant's seq
+	if r.mgr.Holding() {
+		t.Fatal("an older grant renewed the lease")
+	}
+	r.grant(t, int64(newest), 0)
+	if !r.mgr.Holding() {
+		t.Fatal("holder not Holding after applying its newest grant")
+	}
+	// Validity runs Duration-Skew from the invocation at 10.5s: to 19.5s.
+	r.fc.BlockUntil(1)
+	r.fc.Advance(rigRenew)
+	<-r.renewed
+	if !r.mgr.Holding() {
+		t.Fatal("lease lapsed before Duration-Skew after the append's invocation")
+	}
+	for i := 0; i < 4; i++ { // 13.5s + 4*1.5s = 19.5s
+		r.fc.BlockUntil(1)
+		r.fc.Advance(rigRenew / 2)
+		<-r.renewed
+	}
+	if r.mgr.Holding() {
+		t.Fatal("lease valid past Duration-Skew after the append's invocation")
+	}
+}
+
 // append's invocation, one nanosecond resolved either way.
 func TestSkewWindowHolderSide(t *testing.T) {
 	r := newFakeRig(t, 0, 0)
@@ -283,10 +328,7 @@ func TestSkewWindowWriterSide(t *testing.T) {
 		close(released2)
 	}()
 	r.fc.BlockUntil(1)
-	ack, err := json.Marshal(ackMsg{UpTo: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ack := wire.Slot{Slot: 7}.AppendWire(nil)
 	r.mgr.onAck(0, wire.Message{Topic: r.mgr.topicAck, Body: ack})
 	<-released2
 	if g := r.mgr.Metrics().GatedAppends; g != 2 {

@@ -264,7 +264,7 @@ func (n *Node) loop() {
 }
 
 // Send transmits a protocol message to process `to` (possibly self).
-func (n *Node) Send(to failure.Proc, topic string, body any) {
+func (n *Node) Send(to failure.Proc, topic string, body wire.Encoder) {
 	payload, err := wire.Marshal(topic, body)
 	if err != nil {
 		log.Printf("node %d: %v", n.id, err)
@@ -276,7 +276,7 @@ func (n *Node) Send(to failure.Proc, topic string, body any) {
 // Broadcast transmits a protocol message to every process including self.
 // The paper's pseudocode "send ... to all" has this semantics: a process is
 // always a potential member of its own quorums.
-func (n *Node) Broadcast(topic string, body any) {
+func (n *Node) Broadcast(topic string, body wire.Encoder) {
 	payload, err := wire.Marshal(topic, body)
 	if err != nil {
 		log.Printf("node %d: %v", n.id, err)
@@ -287,7 +287,7 @@ func (n *Node) Broadcast(topic string, body any) {
 
 // Multicast transmits one protocol message to each listed process, encoding
 // the body once: every recipient is handed the same payload.
-func (n *Node) Multicast(to []failure.Proc, topic string, body any) {
+func (n *Node) Multicast(to []failure.Proc, topic string, body wire.Encoder) {
 	if len(to) == 0 {
 		return
 	}

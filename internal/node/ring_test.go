@@ -90,7 +90,7 @@ func TestHandleConcurrentWithDispatch(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		a.Send(1, "t/first", i)
+		a.Send(1, "t/first", echoBody{X: i})
 	}
 	close(stop)
 	wg.Wait()

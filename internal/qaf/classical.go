@@ -10,23 +10,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire bodies for the classical protocol (Figure 2).
-type (
-	classicalGetReq struct {
-		Seq int64 `json:"seq"`
-	}
-	classicalGetResp struct {
-		Seq   int64  `json:"seq"`
-		State []byte `json:"state"`
-	}
-	classicalSetReq struct {
-		Seq    int64  `json:"seq"`
-		Update []byte `json:"update"`
-	}
-	classicalSetResp struct {
-		Seq int64 `json:"seq"`
-	}
-)
+// Wire bodies for the classical protocol (Figure 2): GET_REQ and SET_RESP
+// are a wire.Seq, GET_RESP (the state) and SET_REQ (the update) a
+// wire.SeqData.
 
 type classicalPendingGet struct {
 	states map[failure.Proc][]byte
@@ -104,7 +90,7 @@ func (c *Classical) Get(ctx context.Context) ([][]byte, error) {
 			done:   make(chan [][]byte, 1),
 		}
 		c.gets[seq] = pg
-		c.n.Broadcast(c.topicGetReq, classicalGetReq{Seq: seq})
+		c.n.Broadcast(c.topicGetReq, wire.Seq{Seq: seq})
 	}); err != nil {
 		// The registration may still run later; withdraw it behind fn in
 		// loop order (seq is written before the withdrawal reads it).
@@ -142,7 +128,7 @@ func (c *Classical) Set(ctx context.Context, update []byte) error {
 			done: make(chan struct{}, 1),
 		}
 		c.sets[seq] = ps
-		c.n.Broadcast(c.topicSetReq, classicalSetReq{Seq: seq, Update: update})
+		c.n.Broadcast(c.topicSetReq, wire.SeqData{Seq: seq, Data: update})
 	}); err != nil {
 		// The registration may still run later; withdraw it behind fn in
 		// loop order (seq is written before the withdrawal reads it).
@@ -189,16 +175,16 @@ func (c *Classical) Metrics() Metrics {
 
 // onGetReq handles GET_REQ (Figure 2, lines 8-9).
 func (c *Classical) onGetReq(from failure.Proc, m wire.Message) {
-	var req classicalGetReq
+	var req wire.Seq
 	if wire.Decode(m, &req) != nil {
 		return
 	}
-	c.n.Send(from, c.topicGetResp, classicalGetResp{Seq: req.Seq, State: c.sm.Snapshot()})
+	c.n.Send(from, c.topicGetResp, wire.SeqData{Seq: req.Seq, Data: c.sm.Snapshot()})
 }
 
 // onGetResp accumulates GET_RESP (Figure 2, line 6).
 func (c *Classical) onGetResp(from failure.Proc, m wire.Message) {
-	var resp classicalGetResp
+	var resp wire.SeqData
 	if wire.Decode(m, &resp) != nil {
 		return
 	}
@@ -206,7 +192,7 @@ func (c *Classical) onGetResp(from failure.Proc, m wire.Message) {
 	if !ok {
 		return
 	}
-	pg.states[from] = resp.State
+	pg.states[from] = resp.Data
 	responders := graph.NewBitSet(c.n.ClusterSize())
 	for p := range pg.states {
 		responders.Add(int(p))
@@ -225,19 +211,19 @@ func (c *Classical) onGetResp(from failure.Proc, m wire.Message) {
 
 // onSetReq handles SET_REQ (Figure 2, lines 14-16).
 func (c *Classical) onSetReq(from failure.Proc, m wire.Message) {
-	var req classicalSetReq
+	var req wire.SeqData
 	if wire.Decode(m, &req) != nil {
 		return
 	}
-	if err := c.sm.Apply(req.Update); err != nil {
+	if err := c.sm.Apply(req.Data); err != nil {
 		return
 	}
-	c.n.Send(from, c.topicSetResp, classicalSetResp{Seq: req.Seq})
+	c.n.Send(from, c.topicSetResp, wire.Seq{Seq: req.Seq})
 }
 
 // onSetResp accumulates SET_RESP (Figure 2, line 13).
 func (c *Classical) onSetResp(from failure.Proc, m wire.Message) {
-	var resp classicalSetResp
+	var resp wire.Seq
 	if wire.Decode(m, &resp) != nil {
 		return
 	}

@@ -11,31 +11,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Wire bodies for the generalized protocol (Figure 3).
-type (
-	genClockReq struct {
-		Seq int64 `json:"seq"`
-	}
-	genClockResp struct {
-		Seq   int64 `json:"seq"`
-		Clock int64 `json:"clock"`
-	}
-	// genGetResp is pushed both periodically (line 12) and in response to
-	// nothing at all — it is unsolicited, which is the whole point: members
-	// of a read quorum may be unable to receive requests.
-	genGetResp struct {
-		State []byte `json:"state"`
-		Clock int64  `json:"clock"`
-	}
-	genSetReq struct {
-		Seq    int64  `json:"seq"`
-		Update []byte `json:"update"`
-	}
-	genSetResp struct {
-		Seq   int64 `json:"seq"`
-		Clock int64 `json:"clock"`
-	}
-)
+// Wire bodies for the generalized protocol (Figure 3): CLOCK_REQ is a
+// wire.Seq, CLOCK_RESP and SET_RESP are wire.SeqClock, SET_REQ is a
+// wire.SeqData and GET_RESP a wire.StateClock. GET_RESP is pushed both
+// periodically (line 12) and in response to nothing at all — it is
+// unsolicited, which is the whole point: members of a read quorum may be
+// unable to receive requests.
 
 // genPendingGet tracks a quorum_get invocation (Figure 3, lines 3-9).
 type genPendingGet struct {
@@ -159,7 +140,7 @@ func NewGeneralized(n *node.Node, cfg GeneralizedConfig) *Generalized {
 			return
 		}
 		g.clock++
-		g.n.Broadcast(g.topicGetResp, genGetResp{State: g.sm.Snapshot(), Clock: g.clock})
+		g.n.Broadcast(g.topicGetResp, wire.StateClock{State: g.sm.Snapshot(), Clock: g.clock})
 	})
 	return g
 }
@@ -182,7 +163,7 @@ func (g *Generalized) Get(ctx context.Context) ([][]byte, error) {
 		}
 		g.gets[seq] = pg
 		// Line 5: establish the clock cutoff from a write quorum.
-		g.n.Broadcast(g.topicClockReq, genClockReq{Seq: seq})
+		g.n.Broadcast(g.topicClockReq, wire.Seq{Seq: seq})
 	}); err != nil {
 		// The registration may still run later; withdraw it behind fn in
 		// loop order (seq is written before the withdrawal reads it).
@@ -222,7 +203,7 @@ func (g *Generalized) Set(ctx context.Context, update []byte) error {
 		}
 		g.sets[seq] = ps
 		// Line 17: ship the update to a write quorum.
-		g.n.Broadcast(g.topicSetReq, genSetReq{Seq: seq, Update: update})
+		g.n.Broadcast(g.topicSetReq, wire.SeqData{Seq: seq, Data: update})
 	}); err != nil {
 		// The registration may still run later; withdraw it behind fn in
 		// loop order (seq is written before the withdrawal reads it).
@@ -282,16 +263,16 @@ func (g *Generalized) Clock() int64 {
 
 // onClockReq handles CLOCK_REQ (Figure 3, lines 10-11).
 func (g *Generalized) onClockReq(from failure.Proc, m wire.Message) {
-	var req genClockReq
+	var req wire.Seq
 	if wire.Decode(m, &req) != nil {
 		return
 	}
-	g.n.Send(from, g.topicClockResp, genClockResp{Seq: req.Seq, Clock: g.clock})
+	g.n.Send(from, g.topicClockResp, wire.SeqClock{Seq: req.Seq, Clock: g.clock})
 }
 
 // onClockResp accumulates CLOCK_RESP for phase-1 gets (Figure 3, lines 6-7).
 func (g *Generalized) onClockResp(from failure.Proc, m wire.Message) {
-	var resp genClockResp
+	var resp wire.SeqClock
 	if wire.Decode(m, &resp) != nil {
 		return
 	}
@@ -324,7 +305,7 @@ func (g *Generalized) onClockResp(from failure.Proc, m wire.Message) {
 
 // onGetResp decodes an unsolicited state push (Figure 3, lines 8 and 20).
 func (g *Generalized) onGetResp(from failure.Proc, m wire.Message) {
-	var resp genGetResp
+	var resp wire.StateClock
 	if wire.Decode(m, &resp) != nil {
 		return
 	}
@@ -415,11 +396,11 @@ func (g *Generalized) checkGetPhase2(seq int64, pg *genPendingGet) {
 // with every other instance dirtied by work already queued on the loop —
 // instead of waiting for the next tick.
 func (g *Generalized) onSetReq(from failure.Proc, m wire.Message) {
-	var req genSetReq
+	var req wire.SeqData
 	if wire.Decode(m, &req) != nil {
 		return
 	}
-	if err := g.sm.Apply(req.Update); err != nil {
+	if err := g.sm.Apply(req.Data); err != nil {
 		return
 	}
 	g.clock++
@@ -428,12 +409,12 @@ func (g *Generalized) onSetReq(from failure.Proc, m wire.Message) {
 		g.dirty = true
 		g.prop.requestFlush()
 	}
-	g.n.Send(from, g.topicSetResp, genSetResp{Seq: req.Seq, Clock: g.clock})
+	g.n.Send(from, g.topicSetResp, wire.SeqClock{Seq: req.Seq, Clock: g.clock})
 }
 
 // onSetResp accumulates SET_RESP for phase-1 sets (Figure 3, lines 18-19).
 func (g *Generalized) onSetResp(from failure.Proc, m wire.Message) {
-	var resp genSetResp
+	var resp wire.SeqClock
 	if wire.Decode(m, &resp) != nil {
 		return
 	}

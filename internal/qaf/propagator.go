@@ -11,34 +11,17 @@ import (
 	"repro/internal/wire"
 )
 
-// propEntry is one instance's contribution to a batched propagation message.
-// A full entry carries the instance's state at the given clock together with
-// its state version V (the clock at which that state was last updated). A
-// clock-only entry omits the state: it announces that the sender's clock
-// reached Clock while its state stayed at version V, and a receiver applies
-// it only to a report of exactly that version it already holds.
-type propEntry struct {
-	Name  string `json:"n"`
-	State []byte `json:"s,omitempty"`
-	Clock int64  `json:"c"`
-	V     int64  `json:"v,omitempty"`
-}
-
-// ackEntry acknowledges the highest clock received from a peer for one
-// instance. Receivers of a propagation batch reply with one ack message
-// covering every full entry of the batch.
-type ackEntry struct {
-	Name  string `json:"n"`
-	Clock int64  `json:"c"`
-}
-
-// nudgeEntry asks receivers to advance an instance's clock to the cutoff a
-// pending phase-2 invocation is waiting on (Figure 3's periodic clock
-// advance, made demand-driven).
-type nudgeEntry struct {
-	Name   string `json:"n"`
-	Cutoff int64  `json:"c"`
-}
+// Wire bodies: a propagation batch is a wire.Props, one entry per
+// instance. A full entry carries the instance's state at the given clock
+// together with its state version V (the clock at which that state was last
+// updated). A clock-only entry omits the state: it announces that the
+// sender's clock reached Clock while its state stayed at version V, and a
+// receiver applies it only to a report of exactly that version it already
+// holds. Receivers of a batch reply with one wire.Clocks ack covering every
+// full entry of the batch (the highest clock received per instance), and a
+// nudge is a wire.Clocks too: per instance, the cutoff a pending phase-2
+// invocation is waiting on (Figure 3's periodic clock advance, made
+// demand-driven).
 
 // Liveness probing, in ticks. A peer we have not heard from in pingTicks
 // gets a ping; one silent for downTicks is treated as having no channel
@@ -66,9 +49,9 @@ type instState struct {
 }
 
 // full returns the instance's full propagation entry. Runs on the node loop.
-func (st *instState) full() propEntry {
+func (st *instState) full() wire.Prop {
 	g := st.g
-	return propEntry{Name: st.name, State: g.sm.Snapshot(), Clock: g.clock, V: g.ver}
+	return wire.Prop{Name: st.name, State: g.sm.Snapshot(), Clock: g.clock, V: g.ver}
 }
 
 // Propagator implements the periodic state propagation (Figure 3, line 12)
@@ -237,7 +220,7 @@ func (p *Propagator) requestFlush() {
 // on the node loop.
 func (p *Propagator) flush() {
 	p.flushQueued = false
-	var entries []propEntry
+	var entries wire.Props
 	for _, st := range p.instances {
 		g := st.g
 		if g.stopped || !g.dirty {
@@ -261,7 +244,7 @@ func (p *Propagator) flush() {
 // sendNudge broadcasts a clock nudge for one instance's pending cutoff.
 // Called on the node loop.
 func (p *Propagator) sendNudge(name string, cutoff int64) {
-	p.n.Broadcast(p.topicNudge, []nudgeEntry{{Name: name, Cutoff: cutoff}})
+	p.n.Broadcast(p.topicNudge, wire.Clocks{{Name: name, Clock: cutoff}})
 }
 
 // tick is the liveness backstop. It probes silent peers, re-nudges pending
@@ -294,14 +277,14 @@ func (p *Propagator) tick() {
 		return
 	}
 
-	var nudges []nudgeEntry
+	var nudges wire.Clocks
 	for _, st := range p.instances {
 		g := st.g
 		if g.stopped {
 			continue
 		}
 		if cutoff, ok := g.pendingCutoff(); ok {
-			nudges = append(nudges, nudgeEntry{Name: st.name, Cutoff: cutoff})
+			nudges = append(nudges, wire.NamedClock{Name: st.name, Clock: cutoff})
 		}
 	}
 	// Spontaneous clock advance (Figure 3, line 12) while any peer is
@@ -335,7 +318,7 @@ func (p *Propagator) tick() {
 			continue
 		}
 		retry := p.tickNo-p.lastSend[q] >= resendTicks
-		var lag []propEntry
+		var lag wire.Props
 		for _, st := range p.instances {
 			g := st.g
 			if g.stopped || st.acked[q] >= g.ver {
@@ -363,7 +346,7 @@ func (p *Propagator) tick() {
 // otherwise. Silent peers cannot ack, so the periodic full re-offer is what
 // heals a lost push. Runs on the node loop.
 func (p *Propagator) pushSilent() {
-	entries := make([]propEntry, 0, len(p.instances))
+	entries := make(wire.Props, 0, len(p.instances))
 	for _, st := range p.instances {
 		g := st.g
 		if g.stopped {
@@ -373,7 +356,7 @@ func (p *Propagator) pushSilent() {
 			entries = append(entries, st.full())
 			st.downV, st.downFull = g.ver, p.tickNo
 		} else {
-			entries = append(entries, propEntry{Name: st.name, Clock: g.clock, V: g.ver})
+			entries = append(entries, wire.Prop{Name: st.name, Clock: g.clock, V: g.ver})
 		}
 	}
 	if len(entries) > 0 {
@@ -386,7 +369,7 @@ func (p *Propagator) pushSilent() {
 // tick. Runs on the node loop.
 func (p *Propagator) onProp(from failure.Proc, m wire.Message) {
 	p.heard(from)
-	var entries []propEntry
+	var entries wire.Props
 	if wire.Decode(m, &entries) != nil {
 		return
 	}
@@ -416,8 +399,9 @@ func (p *Propagator) onProp(from failure.Proc, m wire.Message) {
 			acks = make(map[string]int64)
 			p.pendingAcks[q] = acks
 		}
-		if prev, ok := acks[e.Name]; !ok || e.Clock > prev {
-			acks[e.Name] = e.Clock
+		// Keyed by the instance's own name: e.Name aliases the message.
+		if prev, ok := acks[st.name]; !ok || e.Clock > prev {
+			acks[st.name] = e.Clock
 		}
 	}
 }
@@ -429,11 +413,11 @@ func (p *Propagator) flushAcks() {
 		if len(acks) == 0 {
 			continue
 		}
-		out := make([]ackEntry, 0, len(acks))
+		out := make(wire.Clocks, 0, len(acks))
 		for name, c := range acks {
-			out = append(out, ackEntry{Name: name, Clock: c})
+			out = append(out, wire.NamedClock{Name: name, Clock: c})
 		}
-		slices.SortFunc(out, func(a, b ackEntry) int { return strings.Compare(a.Name, b.Name) })
+		slices.SortFunc(out, func(a, b wire.NamedClock) int { return strings.Compare(a.Name, b.Name) })
 		p.n.Send(failure.Proc(q), p.topicAck, out)
 		p.pendingAcks[q] = nil
 	}
@@ -442,7 +426,7 @@ func (p *Propagator) flushAcks() {
 // onAck records a peer's acked clocks. Runs on the node loop.
 func (p *Propagator) onAck(from failure.Proc, m wire.Message) {
 	p.heard(from)
-	var acks []ackEntry
+	var acks wire.Clocks
 	if wire.Decode(m, &acks) != nil {
 		return
 	}
@@ -464,27 +448,27 @@ func (p *Propagator) onAck(from failure.Proc, m wire.Message) {
 // on the node loop.
 func (p *Propagator) onNudge(from failure.Proc, m wire.Message) {
 	p.heard(from)
-	var nudges []nudgeEntry
+	var nudges wire.Clocks
 	if wire.Decode(m, &nudges) != nil {
 		return
 	}
 	q := int(from)
 	selfID := int(p.n.ID())
-	var reply []propEntry
+	var reply wire.Props
 	for _, nd := range nudges {
 		st, ok := p.byName[nd.Name]
 		if !ok || st.g.stopped {
 			continue
 		}
 		g := st.g
-		if g.clock < nd.Cutoff {
+		if g.clock < nd.Clock {
 			// Jumping is safe: correctness relies on per-process clock
 			// monotonicity and on pushes being captured atomically with the
 			// state on the loop, not on unit increments.
-			g.clock = nd.Cutoff
+			g.clock = nd.Clock
 			g.dirty = true
 			p.requestFlush()
-		} else if q != selfID && q >= 0 && q < len(st.acked) && st.acked[q] < nd.Cutoff {
+		} else if q != selfID && q >= 0 && q < len(st.acked) && st.acked[q] < nd.Clock {
 			reply = append(reply, st.full())
 			st.sentV[q] = g.ver
 		}

@@ -2,7 +2,6 @@ package qaf
 
 import (
 	"bytes"
-	"encoding/json"
 	"slices"
 	"testing"
 	"time"
@@ -63,13 +62,9 @@ func (pr *probe) deliver(from failure.Proc, body []byte) {
 }
 
 // push delivers propagation entries from `from`.
-func (pr *probe) push(t *testing.T, from failure.Proc, entries ...propEntry) {
+func (pr *probe) push(t *testing.T, from failure.Proc, entries ...wire.Prop) {
 	t.Helper()
-	body, err := json.Marshal(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr.deliver(from, body)
+	pr.deliver(from, wire.Props(entries).AppendWire(nil))
 }
 
 // held returns the report process 0 holds from `from` for one instance.
@@ -88,8 +83,8 @@ func TestClockOnlyPushNeedsMatchingVersion(t *testing.T) {
 	defer pr.stop()
 	g := pr.accs["obj"]
 
-	pr.push(t, 0, propEntry{Name: "obj", State: enc(0), Clock: 100})
-	pr.push(t, 1, propEntry{Name: "obj", State: enc(1), Clock: 10, V: 7})
+	pr.push(t, 0, wire.Prop{Name: "obj", State: enc(0), Clock: 100})
+	pr.push(t, 1, wire.Prop{Name: "obj", State: enc(1), Clock: 10, V: 7})
 	var pg *genPendingGet
 	pr.nodes[0].Call(func() {
 		g.seq++
@@ -105,19 +100,19 @@ func TestClockOnlyPushNeedsMatchingVersion(t *testing.T) {
 		}
 	}
 
-	pr.push(t, 1, propEntry{Name: "obj", Clock: 40, V: 7})
+	pr.push(t, 1, wire.Prop{Name: "obj", Clock: 40, V: 7})
 	if ob, _ := pr.held("obj", 1); ob.clock != 40 {
 		t.Fatalf("clock-only entry of the held version: held clock %d, want 40", ob.clock)
 	}
 	pending("matching version below the cutoff")
 
-	pr.push(t, 1, propEntry{Name: "obj", Clock: 60, V: 8})
+	pr.push(t, 1, wire.Prop{Name: "obj", Clock: 60, V: 8})
 	if ob, _ := pr.held("obj", 1); ob.clock != 40 || ob.ver != 7 {
 		t.Fatalf("clock-only entry of another version moved the report to clock %d version %d", ob.clock, ob.ver)
 	}
 	pending("version mismatch")
 
-	pr.push(t, 1, propEntry{Name: "obj", State: enc(2), Clock: 60, V: 8})
+	pr.push(t, 1, wire.Prop{Name: "obj", State: enc(2), Clock: 60, V: 8})
 	select {
 	case states := <-pg.done:
 		if got := maxState(t, states); got != 2 {
@@ -207,20 +202,21 @@ func TestF1LatencyDoesNotGrow(t *testing.T) {
 // allow: a full entry replaces an older report, and a clock-only entry
 // raises the clock only of a report whose version equals the entry's V.
 func FuzzPropagatorEntries(f *testing.F) {
-	for _, seed := range []string{
-		`[{"n":"a","s":"Mw==","c":5,"v":3}]`,
-		`[{"n":"a","c":9,"v":3}]`,
-		`[{"n":"a","c":9,"v":4}]`,
-		`[{"n":"a","s":"Mw==","c":5,"v":3},{"n":"a","c":9,"v":3},{"n":"b","c":2}]`,
-		`[{"n":"b","s":"","c":7}]`,
-		`[{"n":"zz","s":"Mw==","c":1}]`,
-		`[{"n":"a","s":123}]`,
-		`{"not":"entries"}`,
-		`null`,
-		`[`,
-		``,
+	full := wire.Prop{Name: "a", State: []byte("3"), Clock: 5, V: 3}
+	for _, seed := range [][]byte{
+		wire.Props{full}.AppendWire(nil),
+		wire.Props{{Name: "a", Clock: 9, V: 3}}.AppendWire(nil),
+		wire.Props{{Name: "a", Clock: 9, V: 4}}.AppendWire(nil),
+		wire.Props{full, {Name: "a", Clock: 9, V: 3}, {Name: "b", Clock: 2}}.AppendWire(nil),
+		wire.Props{{Name: "b", State: []byte{}, Clock: 7}}.AppendWire(nil),
+		wire.Props{{Name: "zz", State: []byte("3"), Clock: 1}}.AppendWire(nil),
+		{2, 1, 'a', 1, '3', 10, 6}, // two entries announced, the second missing
+		[]byte(`{"not":"entries"}`),
+		[]byte(`null`),
+		{1},
+		{},
 	} {
-		f.Add([]byte(seed))
+		f.Add(seed)
 	}
 	names := []string{"a", "b"}
 	pr := newProbe(names...)
@@ -234,8 +230,8 @@ func FuzzPropagatorEntries(f *testing.F) {
 				want[name] = ob
 			}
 		}
-		var entries []propEntry
-		if json.Unmarshal(body, &entries) == nil {
+		var entries wire.Props
+		if entries.DecodeWire(body) == nil {
 			for _, e := range entries {
 				if !slices.Contains(names, e.Name) {
 					continue

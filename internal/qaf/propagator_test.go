@@ -177,14 +177,20 @@ func TestPropagatorMessageEconomy(t *testing.T) {
 	}
 }
 
+// rawBody sends its bytes as a message body, as they are.
+type rawBody []byte
+
+func (r rawBody) AppendWire(b []byte) []byte { return append(b, r...) }
+
 // TestPropagatorIgnoresGarbage: malformed batch messages are dropped and
 // the objects keep working.
 func TestPropagatorIgnoresGarbage(t *testing.T) {
 	c := newPropCluster(t, 4, 1)
 	defer c.stop()
 	// Inject a malformed body on the propagator topic from process 0.
-	c.nodes[0].Broadcast("qaf/prop", map[string]string{"not": "entries"})
-	// Valid JSON, wrong shape for []propEntry: decode fails, message dropped.
+	c.nodes[0].Broadcast("qaf/prop", rawBody(`{"not":"entries"}`))
+	// A well-formed envelope whose body is not a propagation batch: decode
+	// fails, message dropped.
 	time.Sleep(10 * time.Millisecond)
 	ctx := ctxSec(t, 20)
 	if err := c.accs[0][0].Set(ctx, enc(3)); err != nil {

@@ -8,7 +8,6 @@ package register
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -16,13 +15,14 @@ import (
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/qaf"
+	"repro/internal/wire"
 )
 
 // Version tags a written value: a monotonically increasing number paired
 // with the writer's process id, ordered lexicographically (§5).
 type Version struct {
-	Num  uint64 `json:"num"`
-	Proc int    `json:"proc"`
+	Num  uint64
+	Proc int
 }
 
 // Less reports whether v precedes w in the lexicographic version order.
@@ -42,8 +42,24 @@ func (v Version) String() string { return fmt.Sprintf("(%d, %d)", v.Num, v.Proc)
 // (lines 6 and 11) is "overwrite if the incoming version is higher", which
 // is fully described by the (value, version) pair itself.
 type State struct {
-	Val string  `json:"val"`
-	Ver Version `json:"ver"`
+	Val string
+	Ver Version
+}
+
+// appendState encodes a state as its value, version number and writer
+// (see package wire). The encoding is never empty, as qaf.StateMachine
+// requires of a snapshot.
+func appendState(b []byte, s State) []byte {
+	b = wire.AppendUvarint(wire.AppendString(b, s.Val), s.Ver.Num)
+	return wire.AppendVarint(b, int64(s.Ver.Proc))
+}
+
+// decodeState decodes one state written by appendState. The value is a
+// copy: a state outlives the message it arrived in.
+func decodeState(b []byte) (State, error) {
+	r := wire.NewReader(b)
+	s := State{Val: r.String(), Ver: Version{Num: r.Uvarint(), Proc: r.Int()}}
+	return s, r.Done()
 }
 
 // stateMachine adapts State to qaf.StateMachine. It lives on the node event
@@ -54,19 +70,11 @@ type stateMachine struct {
 
 var _ qaf.StateMachine = (*stateMachine)(nil)
 
-func (s *stateMachine) Snapshot() []byte {
-	b, err := json.Marshal(s.cur)
-	if err != nil {
-		// State is a plain struct; this cannot fail. Return the zero state
-		// encoding to keep the protocol progressing.
-		return []byte(`{"val":"","ver":{"num":0,"proc":0}}`)
-	}
-	return b
-}
+func (s *stateMachine) Snapshot() []byte { return appendState(nil, s.cur) }
 
 func (s *stateMachine) Apply(update []byte) error {
-	var u State
-	if err := json.Unmarshal(update, &u); err != nil {
+	u, err := decodeState(update)
+	if err != nil {
 		return fmt.Errorf("register update: %w", err)
 	}
 	// Figure 4, line 6/11: if t > s.ver then (x, t) else s.
@@ -134,8 +142,8 @@ func New(n *node.Node, opts Options) *Register {
 func decodeStates(raw [][]byte) ([]State, error) {
 	out := make([]State, 0, len(raw))
 	for _, b := range raw {
-		var s State
-		if err := json.Unmarshal(b, &s); err != nil {
+		s, err := decodeState(b)
+		if err != nil {
 			return nil, fmt.Errorf("register state: %w", err)
 		}
 		out = append(out, s)
@@ -168,12 +176,8 @@ func (r *Register) Write(ctx context.Context, val string) (Version, error) {
 	}
 	// Lines 4-5: t = (k+1, i) with k the largest version number seen.
 	t := r.nextVersion(maxVersion(states).Ver.Num)
-	update, err := json.Marshal(State{Val: val, Ver: t})
-	if err != nil {
-		return Version{}, fmt.Errorf("encode write update: %w", err)
-	}
 	// Set phase (line 7).
-	if err := r.acc.Set(ctx, update); err != nil {
+	if err := r.acc.Set(ctx, appendState(nil, State{Val: val, Ver: t})); err != nil {
 		return Version{}, fmt.Errorf("write set phase: %w", err)
 	}
 	return t, nil
@@ -210,12 +214,8 @@ func (r *Register) Read(ctx context.Context) (string, Version, error) {
 	}
 	// Line 10: s' = state with the largest version.
 	best := maxVersion(states)
-	update, err := json.Marshal(best)
-	if err != nil {
-		return "", Version{}, fmt.Errorf("encode read-back update: %w", err)
-	}
 	// Set phase (line 12): write back before returning.
-	if err := r.acc.Set(ctx, update); err != nil {
+	if err := r.acc.Set(ctx, appendState(nil, best)); err != nil {
 		return "", Version{}, fmt.Errorf("read set phase: %w", err)
 	}
 	return best.Val, best.Ver, nil

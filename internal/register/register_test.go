@@ -81,14 +81,14 @@ func TestVersionOrdering(t *testing.T) {
 
 func TestStateMachineApply(t *testing.T) {
 	sm := &stateMachine{}
-	if err := sm.Apply([]byte(`{"val":"a","ver":{"num":1,"proc":0}}`)); err != nil {
+	if err := sm.Apply(appendState(nil, State{Val: "a", Ver: Version{Num: 1}})); err != nil {
 		t.Fatal(err)
 	}
 	if sm.cur.Val != "a" {
 		t.Fatalf("val = %q", sm.cur.Val)
 	}
 	// Lower version must not overwrite.
-	if err := sm.Apply([]byte(`{"val":"old","ver":{"num":0,"proc":0}}`)); err != nil {
+	if err := sm.Apply(appendState(nil, State{Val: "old"})); err != nil {
 		t.Fatal(err)
 	}
 	if sm.cur.Val != "a" {

@@ -145,13 +145,6 @@ type queuedSub struct {
 	view int64  // the view it was sent for
 }
 
-// smrFwd carries sub-batches to the leader of View. Each entry is a batch
-// value holding one sub-batch.
-type smrFwd struct {
-	View int64    `json:"v"`
-	Subs []string `json:"s"`
-}
-
 // batcher is the append buffer of one log endpoint. Enqueues come from
 // client goroutines (not the node loop); a drainer goroutine cuts
 // sub-batches and hands them to the loop, bounded by the in-flight
@@ -457,7 +450,7 @@ func (l *Log) route(subs []queuedSub) {
 	for i, q := range subs {
 		vals[i] = q.val
 	}
-	l.n.Send(l.leaderOf(l.view), l.topicFwd, smrFwd{View: l.view, Subs: vals})
+	l.n.Send(l.leaderOf(l.view), l.topicFwd, wire.Fwd{View: l.view, Subs: vals})
 }
 
 // enqueueLead queues a sub-batch for a claim here, unless it is already
@@ -479,7 +472,7 @@ func (l *Log) enqueueLead(q queuedSub) {
 // forward bouncing between processes in different views climbs strictly
 // upward and settles. Runs on the node loop.
 func (l *Log) onFwd(from failure.Proc, m wire.Message) {
-	var f smrFwd
+	var f wire.Fwd
 	if wire.Decode(m, &f) != nil || l.stopped {
 		return
 	}
@@ -734,26 +727,20 @@ func (l *Log) completeOwn(d ownDone) {
 // already decided then). Above therefore holds fewer than Pipeline seqs,
 // and the origin's sub-batches an install can cover are among its last
 // Pipeline applied — the length Last is kept at.
-type originSeqs struct {
-	Low   uint64   `json:"l"`
-	Above []uint64 `json:"a,omitempty"`
-	Last  []seqPos `json:"p,omitempty"`
-}
+//
+// The table travels in snapshot-installs, so its entry type is the wire's.
+type originSeqs = wire.OriginSeqs
 
 // seqPos is where a sub-batch was first applied.
-type seqPos struct {
-	Seq   uint64 `json:"q"`
-	Slot  int64  `json:"s"`
-	Index int    `json:"i"`
-}
+type seqPos = wire.SeqPos
 
-// has reports whether seq was applied.
-func (o *originSeqs) has(seq uint64) bool {
+// hasSeq reports whether seq was applied.
+func hasSeq(o *originSeqs, seq uint64) bool {
 	return seq <= o.Low || slices.Contains(o.Above, seq)
 }
 
-// add records seq as applied at pos, keeping the last keep positions.
-func (o *originSeqs) add(pos seqPos, keep int) {
+// addSeq records seq as applied at pos, keeping the last keep positions.
+func addSeq(o *originSeqs, pos seqPos, keep int) {
 	if pos.Seq == o.Low+1 {
 		o.Low++
 		for {
@@ -777,7 +764,7 @@ func (o *originSeqs) add(pos seqPos, keep int) {
 // loop.
 func (l *Log) isApplied(k subKey) bool {
 	o := l.appliedSubs[k.origin]
-	return o != nil && o.has(k.seq)
+	return o != nil && hasSeq(o, k.seq)
 }
 
 // applyBatch runs the duplicate check over one batch value as the fold
@@ -809,7 +796,7 @@ func (l *Log) applyBatch(slot int64, v string) string {
 				o = &originSeqs{}
 				l.appliedSubs[s.Origin] = o
 			}
-			o.add(seqPos{Seq: s.Seq, Slot: slot, Index: index}, l.batch.opts.Pipeline)
+			addSeq(o, seqPos{Seq: s.Seq, Slot: slot, Index: index}, l.batch.opts.Pipeline)
 			if s.Origin == self {
 				l.firstApplied = append(l.firstApplied, ownDone{seq: s.Seq, slot: slot, index: index})
 			}

@@ -2,7 +2,6 @@ package smr
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -61,11 +60,8 @@ func BenchmarkKVApply(b *testing.B) {
 		subs[o] = wire.SubBatch{Origin: uint64(o), Seq: 1}
 		for i := 0; i < perOrigin; i++ {
 			n := o*perOrigin + i
-			raw, err := json.Marshal(kvCommand{Key: fmt.Sprintf("key-%04d", n), Val: fmt.Sprintf("value-%d", n)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			subs[o].Cmds = append(subs[o].Cmds, string(raw))
+			cmd := kvCommand{Key: fmt.Sprintf("key-%04d", n), Val: fmt.Sprintf("value-%d", n)}
+			subs[o].Cmds = append(subs[o].Cmds, cmd.encode())
 		}
 	}
 	v := wire.EncodeBatch(subs...)

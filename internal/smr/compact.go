@@ -133,24 +133,13 @@ func (l *Log) CompactionMetrics() CompactionMetrics {
 // CompactionMetrics returns the underlying log's compaction counters.
 func (kv *KV) CompactionMetrics() CompactionMetrics { return kv.log.CompactionMetrics() }
 
-// smrCkpt announces a process's checkpoint frontier: every slot below
-// Frontier is folded into its applied state. It doubles as the
-// truncation ack — the prefix below the lowest announced frontier is
-// retired everywhere.
-type smrCkpt struct {
-	Frontier int64 `json:"f"`
-}
-
-// smrSnap installs a snapshot at a lagging peer: the sender's serialized
-// applied state at Frontier, its table of applied sub-batches at the same
-// frontier (so the receiver skips the same duplicates), plus its decided
-// suffix at and above it.
-type smrSnap struct {
-	Frontier int64                  `json:"f"`
-	State    string                 `json:"s,omitempty"`
-	Decs     []smrDecEntry          `json:"d,omitempty"`
-	Applied  map[uint64]*originSeqs `json:"a,omitempty"`
-}
+// Wire bodies: a checkpoint announcement is a wire.Slot holding the
+// process's checkpoint frontier — every slot below it is folded into its
+// applied state. It doubles as the truncation ack: the prefix below the
+// lowest announced frontier is retired everywhere. A snapshot-install is a
+// wire.Snap: the sender's serialized applied state at its frontier, its
+// table of applied sub-batches at the same frontier (so the receiver skips
+// the same duplicates), plus its decided suffix at and above it.
 
 // makeSlot creates the consensus instance of one logical slot. Safe on the
 // node loop (window extension creates instances mid-run).
@@ -227,7 +216,7 @@ func (l *Log) checkpoint() {
 	if f > l.ackFrontier[l.n.ID()] {
 		l.ackFrontier[l.n.ID()] = f
 	}
-	l.n.Broadcast(l.topicCkpt, smrCkpt{Frontier: f})
+	l.n.Broadcast(l.topicCkpt, wire.Slot{Slot: f})
 	l.extendWindow(f + l.window)
 	l.maybeTruncate()
 	l.scheduleAckTimeout(f)
@@ -237,14 +226,14 @@ func (l *Log) checkpoint() {
 // the announced frontier, and truncates whatever prefix every process has
 // now retired. Runs on the node loop.
 func (l *Log) onCkpt(from failure.Proc, m wire.Message) {
-	var c smrCkpt
-	if wire.Decode(m, &c) != nil || l.stopped || c.Frontier <= 0 {
+	var c wire.Slot
+	if wire.Decode(m, &c) != nil || l.stopped || c.Slot <= 0 {
 		return
 	}
-	if c.Frontier > l.ackFrontier[from] {
-		l.ackFrontier[from] = c.Frontier
+	if c.Slot > l.ackFrontier[from] {
+		l.ackFrontier[from] = c.Slot
 	}
-	l.extendWindow(c.Frontier + l.window)
+	l.extendWindow(c.Slot + l.window)
 	l.maybeTruncate()
 }
 
@@ -341,13 +330,13 @@ func (l *Log) sendInstall(to failure.Proc, view int64) {
 		state = s
 	}
 	l.installView[to] = view
-	decs := make([]smrDecEntry, 0, len(l.decided))
+	decs := make(wire.Decs, 0, len(l.decided))
 	for s, v := range l.decided {
 		if s >= l.next {
-			decs = append(decs, smrDecEntry{Slot: s, Val: v})
+			decs = append(decs, wire.DecEntry{Slot: s, Val: v})
 		}
 	}
-	l.n.Send(to, l.topicSnap, smrSnap{Frontier: l.next, State: state, Decs: decs, Applied: l.appliedSubs})
+	l.n.Send(to, l.topicSnap, wire.Snap{Frontier: l.next, State: state, Decs: decs, Applied: l.appliedSubs})
 	l.installsSent.Add(1)
 }
 
@@ -360,7 +349,7 @@ func (l *Log) sendInstall(to failure.Proc, view int64) {
 // they were gated on — and this process's sub-batches applied inside it
 // complete at the positions the table recorded. Runs on the node loop.
 func (l *Log) onSnap(from failure.Proc, m wire.Message) {
-	var s smrSnap
+	var s wire.Snap
 	if wire.Decode(m, &s) != nil || l.stopped {
 		return
 	}
@@ -382,7 +371,7 @@ func (l *Log) onSnap(from failure.Proc, m wire.Message) {
 		}
 		l.truncateTo(s.Frontier)
 		l.installsRecv.Add(1)
-		l.n.Broadcast(l.topicCkpt, smrCkpt{Frontier: s.Frontier})
+		l.n.Broadcast(l.topicCkpt, wire.Slot{Slot: s.Frontier})
 		// Fold any decided slots now contiguous with the installed frontier
 		// and release the prefix waiters the jump covered.
 		l.foldPrefix()
@@ -421,7 +410,7 @@ func (l *Log) adoptApplied(t map[uint64]*originSeqs) {
 		return
 	}
 	for seq, sb := range b.out {
-		if !o.has(seq) {
+		if !hasSeq(o, seq) {
 			continue
 		}
 		i := slices.IndexFunc(o.Last, func(p seqPos) bool { return p.Seq == seq })

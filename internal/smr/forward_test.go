@@ -188,7 +188,7 @@ func TestInstallCarriesAppliedSubBatches(t *testing.T) {
 	}
 	next := func(p int) int64 { return c.loopState(p).next }
 	// A sub-batch from an origin no process uses, so no cut collides.
-	dup := wire.EncodeBatch(wire.SubBatch{Origin: 9, Seq: 1, Cmds: []string{`{"id":"o9-1","key":"k","val":"old"}`}})
+	dup := wire.EncodeBatch(wire.SubBatch{Origin: 9, Seq: 1, Cmds: []string{kvCommand{Key: "k", Val: "old"}.encode()}})
 
 	c.net.Crash(3)
 	if s := next(0); proposeAt(t, ctx, c.kvs[0].log, s, dup) != dup {

@@ -2,9 +2,10 @@ package smr
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/node"
 	"repro/internal/wire"
@@ -14,13 +15,29 @@ import (
 type kvCommand struct {
 	// Key and Val describe a set operation. An empty Key is a no-op entry
 	// (the Sync barrier, or a Meta carrier).
-	Key string `json:"key"`
-	Val string `json:"val"`
+	Key string
+	Val string
 	// Meta carries an opaque control payload through the log's total order
 	// (lease grants and renewals; see AppendMeta). A Meta entry mutates no
 	// KV state; it is delivered in commit order to the observer installed
 	// with SetMetaObserver.
-	Meta string `json:"meta,omitempty"`
+	Meta string
+}
+
+// encode packs the command as its three fields, each length-prefixed (see
+// package wire). The encoding is never empty, not even for the Sync no-op:
+// the log rejects empty commands.
+func (c kvCommand) encode() string {
+	b := make([]byte, 0, 3*binary.MaxVarintLen32+len(c.Key)+len(c.Val)+len(c.Meta))
+	b = wire.AppendString(wire.AppendString(wire.AppendString(b, c.Key), c.Val), c.Meta)
+	return string(b)
+}
+
+// decodeKVCommand unpacks one command. Its strings are substrings of raw.
+func decodeKVCommand(raw string) (kvCommand, error) {
+	r := wire.NewReader(raw)
+	c := kvCommand{Key: r.String(), Val: r.String(), Meta: r.String()}
+	return c, r.Done()
 }
 
 // KV is a linearizable replicated key-value store built on the replicated
@@ -34,8 +51,8 @@ type KV struct {
 
 	// Applied state, confined to the node loop: applySlot folds each slot
 	// in as the decided prefix advances (Log.OnCommit), so a read is one
-	// map lookup instead of an O(history) prefix replay with a JSON decode
-	// per entry. cursor is the apply cursor — the next slot to fold — and
+	// map lookup instead of an O(history) prefix replay with a decode per
+	// entry. cursor is the apply cursor — the next slot to fold — and
 	// always equals the log's first locally undecided slot. metaSlot/meta
 	// remember the newest Meta entry applied, so a checkpoint can carry it
 	// (see Snapshot).
@@ -75,8 +92,10 @@ func (kv *KV) applySlot(slot int64, v string) {
 		return
 	}
 	for _, raw := range cmds {
-		var cmd kvCommand
-		if err := json.Unmarshal([]byte(raw), &cmd); err != nil {
+		// A command is a substring of the whole slot value: clone it, so
+		// the applied map keeps each command alive, not each slot.
+		cmd, err := decodeKVCommand(strings.Clone(raw))
+		if err != nil {
 			if kv.corrupt == nil {
 				kv.corrupt = fmt.Errorf("corrupt log entry in slot %d: %w", slot, err)
 			}
@@ -146,11 +165,7 @@ func (kv *KV) Restore(state string, frontier int64) error {
 // Set commits key=val and returns the log slot it occupies. The slot may be
 // shared with other commands of the same group commit.
 func (kv *KV) Set(ctx context.Context, key, val string) (int64, error) {
-	cmd, err := json.Marshal(kvCommand{Key: key, Val: val})
-	if err != nil {
-		return 0, fmt.Errorf("encode kv command: %w", err)
-	}
-	return kv.log.Append(ctx, string(cmd))
+	return kv.log.Append(ctx, kvCommand{Key: key, Val: val}.encode())
 }
 
 // SetResult is the completion of an asynchronous Set: the slot the write's
@@ -170,13 +185,7 @@ type SetResult = AppendResult
 // Log.AppendAsync); use the synchronous Set when a write canceled in
 // flight must be safely retriable.
 func (kv *KV) SetAsync(ctx context.Context, key, val string) <-chan SetResult {
-	cmd, err := json.Marshal(kvCommand{Key: key, Val: val})
-	if err != nil {
-		out := make(chan SetResult, 1)
-		out <- SetResult{Err: fmt.Errorf("encode kv command: %w", err)}
-		return out
-	}
-	return kv.log.AppendAsync(ctx, string(cmd))
+	return kv.log.AppendAsync(ctx, kvCommand{Key: key, Val: val}.encode())
 }
 
 // KVPair is one key=value write of a SetMany.
@@ -302,11 +311,7 @@ func (kv *KV) GetManyIf(ctx context.Context, keys []string, ok func() bool) (m m
 // prefix includes every Set that completed before Sync was invoked, making a
 // following Get linearizable.
 func (kv *KV) Sync(ctx context.Context) error {
-	cmd, err := json.Marshal(kvCommand{})
-	if err != nil {
-		return err
-	}
-	_, err = kv.log.Append(ctx, string(cmd))
+	_, err := kv.log.Append(ctx, kvCommand{}.encode())
 	return err
 }
 
@@ -317,11 +322,7 @@ func (kv *KV) Sync(ctx context.Context) error {
 // way, so lease state transitions are ordered against the writes they
 // guard by the log itself.
 func (kv *KV) AppendMeta(ctx context.Context, meta string) (int64, error) {
-	cmd, err := json.Marshal(kvCommand{Meta: meta})
-	if err != nil {
-		return 0, fmt.Errorf("encode kv meta entry: %w", err)
-	}
-	return kv.log.Append(ctx, string(cmd))
+	return kv.log.Append(ctx, kvCommand{Meta: meta}.encode())
 }
 
 // SetMetaObserver installs the observer for Meta entries (AppendMeta). It

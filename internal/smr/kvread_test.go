@@ -2,10 +2,42 @@ package smr
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestKVCommandEncoding: every command kind round-trips, none encodes
+// empty (the log rejects empty commands), and a truncated or padded
+// command is rejected. A decoded command's strings do not hold the slot
+// value alive: applySlot stores a clone's.
+func TestKVCommandEncoding(t *testing.T) {
+	for _, c := range []kvCommand{
+		{},                      // the Sync no-op
+		{Key: "k", Val: "v"},    // a set
+		{Key: "k"},              // a set to the empty value
+		{Meta: "\x00\x01grant"}, // a meta entry
+		{Key: strings.Repeat("k", 300), Val: "\xff"},
+	} {
+		raw := c.encode()
+		if raw == "" {
+			t.Fatalf("%+v encodes empty", c)
+		}
+		got, err := decodeKVCommand(raw)
+		if err != nil || got != c {
+			t.Fatalf("%+v decodes to %+v, %v", c, got, err)
+		}
+		for _, bad := range []string{raw[:len(raw)-1], raw + "\x00"} {
+			if _, err := decodeKVCommand(bad); err == nil {
+				t.Errorf("%+v: corrupt encoding %q accepted", c, bad)
+			}
+		}
+	}
+	if _, err := decodeKVCommand(`{"key":"k","val":"v"}`); err == nil {
+		t.Error("a JSON command decoded")
+	}
+}
 
 // TestKVAppliedStateIncremental exercises the applied-map read path: reads
 // observe exactly the folded prefix, interleaved across keys, with no

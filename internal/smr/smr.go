@@ -117,22 +117,13 @@ type Options struct {
 	Snapshotter Snapshotter
 }
 
-// smrIdle1B batches the default 1B messages of every idle slot at one
-// process for one view entry into a single message to the view's leader.
-// Ranges are [lo, hi) slot intervals; idle slots are overwhelmingly the
-// contiguous unused tail of the log, so the encoding is a handful of bytes
-// regardless of capacity.
-type smrIdle1B struct {
-	View   int64      `json:"view"`
-	Ranges [][2]int64 `json:"ranges"`
-}
-
-// smrDecEntry carries one decided slot's value to a process still running
-// the slot (partition heal, late catch-up).
-type smrDecEntry struct {
-	Slot int64  `json:"s"`
-	Val  string `json:"v"`
-}
+// Wire bodies: a wire.Idle1B batches the default 1B messages of every idle
+// slot at one process for one view entry into a single message to the
+// view's leader. Its ranges are [lo, hi) slot intervals; idle slots are
+// overwhelmingly the contiguous unused tail of the log, so the encoding is
+// a handful of bytes regardless of capacity. A wire.Decs carries decided
+// slots' values to a process still running them (partition heal, late
+// catch-up).
 
 // Log is one process's endpoint of the replicated command log.
 type Log struct {
@@ -207,7 +198,7 @@ type Log struct {
 	// per-slot instances eagerly (that would be O(capacity) per view, per
 	// peer); they are replayed on demand the moment a covered slot first
 	// activates (see onSlotActive).
-	idle1Bs map[failure.Proc]smrIdle1B
+	idle1Bs map[failure.Proc]wire.Idle1B
 	// appliedSubs is the table of applied sub-batches, keyed by origin (see
 	// originSeqs); skipped holds the applied value of each live slot that
 	// carried an already-applied sub-batch; firstApplied collects this
@@ -262,7 +253,7 @@ func New(n *node.Node, opts Options) *Log {
 		waiters:       make(map[int64][]chan string),
 		prefixWaiters: make(map[int64][]chan struct{}),
 		frontier:      -1,
-		idle1Bs:       make(map[failure.Proc]smrIdle1B),
+		idle1Bs:       make(map[failure.Proc]wire.Idle1B),
 		appliedSubs:   make(map[uint64]*originSeqs),
 		skipped:       make(map[int64]string),
 		ackFrontier:   make(map[failure.Proc]int64),
@@ -324,7 +315,7 @@ func (l *Log) stepView(v int64) {
 	// this view are virgin too, and their default 1B is this one (see the
 	// package comment).
 	addIdle(scan+1, math.MaxInt64)
-	l.n.Send(l.leaderOf(v), l.topicIdle1B, smrIdle1B{View: v, Ranges: ranges})
+	l.n.Send(l.leaderOf(v), l.topicIdle1B, wire.Idle1B{View: v, Ranges: ranges})
 	l.enterViewBatch(v)
 }
 
@@ -336,7 +327,7 @@ func (l *Log) stepView(v int64) {
 // on demand when a covered slot activates (onSlotActive), so the cost per
 // view is O(active slots), not O(capacity). Runs on the node loop.
 func (l *Log) onIdle1B(from failure.Proc, m wire.Message) {
-	var b smrIdle1B
+	var b wire.Idle1B
 	if wire.Decode(m, &b) != nil || l.stopped {
 		return
 	}
@@ -362,7 +353,7 @@ func (l *Log) onIdle1B(from failure.Proc, m wire.Message) {
 	} else {
 		l.idle1Bs[from] = b
 	}
-	var decs []smrDecEntry
+	var decs wire.Decs
 	behind := false
 	for _, r := range incoming {
 		lo, hi := r[0], r[1]
@@ -375,7 +366,7 @@ func (l *Log) onIdle1B(from failure.Proc, m wire.Message) {
 		}
 		for s := lo; s < hi; s++ {
 			if v, ok := l.decided[s]; ok {
-				decs = append(decs, smrDecEntry{Slot: s, Val: v})
+				decs = append(decs, wire.DecEntry{Slot: s, Val: v})
 			} else if inst := l.slotAt(s); inst != nil {
 				inst.Default1B(from, b.View)
 			}
@@ -422,7 +413,7 @@ func (l *Log) onSlotActive(slot int64) {
 		for _, r := range b.Ranges {
 			if slot >= r[0] && slot < r[1] {
 				if v, ok := l.decided[slot]; ok {
-					l.n.Send(from, l.topicDecs, []smrDecEntry{{Slot: slot, Val: v}})
+					l.n.Send(from, l.topicDecs, wire.Decs{{Slot: slot, Val: v}})
 				} else {
 					inst.Default1B(from, b.View)
 				}
@@ -435,7 +426,7 @@ func (l *Log) onSlotActive(slot int64) {
 // onDecs adopts decided values for slots this process is still running.
 // Runs on the node loop.
 func (l *Log) onDecs(from failure.Proc, m wire.Message) {
-	var decs []smrDecEntry
+	var decs wire.Decs
 	if wire.Decode(m, &decs) != nil || l.stopped {
 		return
 	}

@@ -582,6 +582,11 @@ func (m *MemNetwork) Rejoin(p failure.Proc) {
 	}
 }
 
+// Started returns the instant the network was created: the origin of the
+// elapsed time its delay model sees, so PartialSync's GST falls at
+// Started() + GST.
+func (m *MemNetwork) Started() time.Time { return m.start }
+
 // Stats returns a snapshot of the message counters.
 func (m *MemNetwork) Stats() Stats {
 	return Stats{

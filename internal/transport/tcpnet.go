@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,6 +46,11 @@ const tcpHeaderLen = 8
 
 // maxFrameLen bounds a frame to 16 MiB to reject corrupt length prefixes.
 const maxFrameLen = 16 << 20
+
+// tcpReadBuf sizes the read buffer of each inbound connection: room for a
+// burst of small protocol frames, small enough that idle connections cost
+// little.
+const tcpReadBuf = 4 << 10
 
 // NewTCP creates the network endpoint of process id, listening on
 // addrs[id]. All processes must share the same addrs slice. The returned
@@ -125,9 +131,13 @@ func (t *TCPNetwork) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
+	// One small buffer per connection: a burst of frames costs one read
+	// call, not two per frame (header, then payload). Frames larger than
+	// the buffer are read through it unchanged.
+	r := bufio.NewReaderSize(conn, tcpReadBuf)
 	header := make([]byte, tcpHeaderLen)
 	for {
-		if _, err := io.ReadFull(conn, header); err != nil {
+		if _, err := io.ReadFull(r, header); err != nil {
 			return
 		}
 		length := binary.BigEndian.Uint32(header[:4])
@@ -137,7 +147,7 @@ func (t *TCPNetwork) readLoop(conn net.Conn) {
 			return
 		}
 		payload := make([]byte, length)
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return
 		}
 		t.mu.Lock()

@@ -4,87 +4,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
 
-// Mirrors of the message bodies the protocol packages send (they import
-// wire, so the tests cannot import them): consensus 1B/2A/2B/dec, the
-// replicated log's idle-1B ranges, decs catch-up, checkpoint announcement,
-// snapshot-install and sub-batch forwards, the quorum access functions' requests, responses
-// and batched propagation, and the lease manager's ask/ack.
-type (
-	shape1B struct {
-		View    int64  `json:"view"`
-		AView   int64  `json:"aview"`
-		Val     string `json:"val"`
-		HasVal  bool   `json:"has_val"`
-		Mine    string `json:"mine,omitempty"`
-		HasMine bool   `json:"has_mine,omitempty"`
-	}
-	shape2B struct {
-		View int64  `json:"view"`
-		Val  string `json:"val"`
-	}
-	shapeDec struct {
-		Val string `json:"val"`
-	}
-	shapeIdle1B struct {
-		View   int64      `json:"view"`
-		Ranges [][2]int64 `json:"ranges"`
-	}
-	shapeDecEntry struct {
-		Slot int64  `json:"s"`
-		Val  string `json:"v"`
-	}
-	shapeCkpt struct {
-		Frontier int64 `json:"f"`
-	}
-	shapeSeqPos struct {
-		Seq   uint64 `json:"q"`
-		Slot  int64  `json:"s"`
-		Index int    `json:"i"`
-	}
-	shapeOriginSeqs struct {
-		Low   uint64        `json:"l"`
-		Above []uint64      `json:"a,omitempty"`
-		Last  []shapeSeqPos `json:"p,omitempty"`
-	}
-	shapeSnap struct {
-		Frontier int64                       `json:"f"`
-		State    string                      `json:"s,omitempty"`
-		Decs     []shapeDecEntry             `json:"d,omitempty"`
-		Applied  map[uint64]*shapeOriginSeqs `json:"a,omitempty"`
-	}
-	shapeFwd struct {
-		View int64    `json:"v"`
-		Subs []string `json:"s"`
-	}
-	shapeClockResp struct {
-		Seq   int64 `json:"seq"`
-		Clock int64 `json:"clock"`
-	}
-	shapeGetResp struct {
-		State []byte `json:"state"`
-		Clock int64  `json:"clock"`
-	}
-	shapeSetReq struct {
-		Seq    int64  `json:"seq"`
-		Update []byte `json:"update"`
-	}
-	shapeProp struct {
-		Name  string `json:"n"`
-		State []byte `json:"s"`
-		Clock int64  `json:"c"`
-	}
-	shapeAck struct {
-		Name  string `json:"n"`
-		Clock int64  `json:"c"`
-	}
-	shapeAsk struct {
-		Slot int64 `json:"s"`
-	}
-)
+// kvCmd is a KV set command as the replicated KV encodes it: key, value
+// and an empty meta field, each length-prefixed.
+func kvCmd(key, val string) string {
+	return string(AppendString(AppendString(AppendString(nil, key), val), ""))
+}
+
+// regState is a register state as the register encodes it: value, version
+// number and writer.
+func regState(val string, num uint64, proc int64) []byte {
+	return AppendVarint(AppendUvarint(AppendString(nil, val), num), proc)
+}
 
 // batchValue is a group-committed batch of n KV set commands, one
 // sub-batch per origin process, the value a write-path 2B or decision
@@ -94,84 +29,131 @@ func batchValue(n int) string {
 	for i := 0; i < n; i++ {
 		o := i % 4
 		subs[o].Origin, subs[o].Seq = uint64(o), uint64(100+o)
-		subs[o].Cmds = append(subs[o].Cmds, fmt.Sprintf(`{"id":"p%d-%d","key":"key-%04d","val":"value-%d"}`, o, 1000+i, i*7%1024, i))
+		subs[o].Cmds = append(subs[o].Cmds, kvCmd(fmt.Sprintf("key-%04d", i*7%1024), fmt.Sprintf("value-%d", i)))
 	}
 	return EncodeBatch(subs...)
 }
 
 // propBody is a batched qaf propagation of n register states.
-func propBody(n int) []shapeProp {
-	out := make([]shapeProp, n)
+func propBody(n int) Props {
+	out := make(Props, n)
 	for i := range out {
-		out[i] = shapeProp{
+		out[i] = Prop{
 			Name:  fmt.Sprintf("reg%d", i),
-			State: []byte(fmt.Sprintf(`{"val":"payload-%d","ver":{"num":%d,"proc":%d}}`, i, 12345+i, i%4)),
+			State: regState(fmt.Sprintf("payload-%d", i), uint64(12345+i), int64(i%4)),
 			Clock: int64(1000 + i),
+			V:     int64(990 + i),
 		}
 	}
 	return out
 }
 
+// rawBody sends its bytes as a body, as they are.
+type rawBody []byte
+
+func (r rawBody) AppendWire(b []byte) []byte { return append(b, r...) }
+
+// codec is a body type: what a handler decodes into is what is sent.
+type codec interface {
+	Encoder
+	Decoder
+}
+
+// bodyTypes returns a fresh value of every body type.
+var bodyTypes = []func() codec{
+	func() codec { return new(OneB) },
+	func() codec { return new(Accept) },
+	func() codec { return new(Decision) },
+	func() codec { return new(Props) },
+	func() codec { return new(Clocks) },
+	func() codec { return new(Seq) },
+	func() codec { return new(SeqClock) },
+	func() codec { return new(SeqData) },
+	func() codec { return new(StateClock) },
+	func() codec { return new(Slot) },
+	func() codec { return new(Fwd) },
+	func() codec { return new(Idle1B) },
+	func() codec { return new(Decs) },
+	func() codec { return new(Snap) },
+}
+
 // envelopeShape is one topic/body pair as the protocol packages send it.
 type envelopeShape struct {
 	name, topic string
-	body        any
+	body        codec
 }
 
-// envelopeShapes returns every topic/body shape in the tree, plus the
-// envelope corner cases Marshal handles (no body, a null body, a topic
-// that needs escaping).
+// envelopeShapes returns every topic and body type in the tree, with the
+// values the protocols send.
 func envelopeShapes() []envelopeShape {
 	batch := batchValue(64)
+	ckpt, err := EncodeCheckpoint(Checkpoint{Frontier: 64, State: map[string]string{"a": "1"}})
+	if err != nil {
+		panic(err)
+	}
 	return []envelopeShape{
-		{"1b", "kv/slot17/1b", shape1B{View: 9, AView: 8, Val: batch, HasVal: true, Mine: `{"id":"p1-3","key":"k","val":"v"}`, HasMine: true}},
-		{"2a", "kv/slot17/2a", shape2B{View: 9, Val: batch}},
-		{"2b-batch64", "kv/slot17/2b", shape2B{View: 9, Val: batch}},
-		{"dec", "kv/slot17/dec", shapeDec{Val: batch}},
-		{"idle1b", "kv/idle1b", shapeIdle1B{View: 9, Ranges: [][2]int64{{0, 17}, {18, 128}}}},
-		{"decs", "kv/decs", []shapeDecEntry{{Slot: 3, Val: batch}, {Slot: 4, Val: "x"}}},
-		{"ckpt", "kv/ckpt", shapeCkpt{Frontier: 4096}},
-		{"snap", "kv/snap", shapeSnap{Frontier: 64, State: "\x02c1{\"f\":64,\"s\":{\"a\":\"1\"}}", Decs: []shapeDecEntry{{Slot: 64, Val: batch}},
-			Applied: map[uint64]*shapeOriginSeqs{2: {Low: 40, Above: []uint64{42}, Last: []shapeSeqPos{{Seq: 42, Slot: 63, Index: 5}}}}}},
-		{"fwd", "kv/fwd", shapeFwd{View: 9, Subs: []string{EncodeBatch(SubBatch{Origin: 1, Seq: 7, Cmds: []string{`{"id":"p1-3","key":"k","val":"v"}`}})}}},
-		{"clock-req", "reg7/clock_req", map[string]int64{"seq": 42}},
-		{"clock-resp", "reg7/clock_resp", shapeClockResp{Seq: 42, Clock: 99}},
-		{"get-resp", "reg7/get_resp", shapeGetResp{State: []byte(`{"val":"v","ver":{"num":3,"proc":1}}`), Clock: 99}},
-		{"set-req", "reg7/set_req", shapeSetReq{Seq: 43, Update: []byte(`{"val":"w","ver":{"num":4,"proc":1}}`)}},
-		{"qaf-prop", "qaf/prop", propBody(8)},
-		{"qaf-ack", "qaf/ack", []shapeAck{{Name: "reg0", Clock: 7}, {Name: "reg1", Clock: 8}}},
-		{"qaf-ping", "qaf/ping", nil},
-		{"lease-ask", "lease/ask", shapeAsk{Slot: 77}},
-		{"null-body", "t", json.RawMessage("null")},
-		{"escaped-topic", `needs "escaping"\`, "plain"},
-		{"html-topic", "a<b>&c", 1},
-		{"unicode-topic", "τοπίκ", []string{"<script>", "ü"}},
-		{"empty-topic", "", shapeCkpt{Frontier: 1}},
+		{"1b", "kv/slot17/1b", &OneB{View: 9, AView: 8, Val: batch, HasVal: true, Mine: kvCmd("k", "v"), HasMine: true}},
+		{"1b-default", "kv/slot17/1b", &OneB{View: 9}},
+		{"2a", "kv/slot17/2a", &Accept{View: 9, Val: batch}},
+		{"2b-batch64", "kv/slot17/2b", &Accept{View: 9, Val: batch}},
+		{"dec", "kv/slot17/dec", &Decision{Val: batch}},
+		{"idle1b", "kv/idle1b", &Idle1B{View: 9, Ranges: [][2]int64{{0, 17}, {18, math.MaxInt64}}}},
+		{"decs", "kv/decs", &Decs{{Slot: 3, Val: batch}, {Slot: 4, Val: "x"}}},
+		{"ckpt", "kv/ckpt", &Slot{Slot: 4096}},
+		{"snap", "kv/snap", &Snap{Frontier: 64, State: ckpt, Decs: Decs{{Slot: 64, Val: batch}},
+			Applied: map[uint64]*OriginSeqs{2: {Low: 40, Above: []uint64{42}, Last: []SeqPos{{Seq: 42, Slot: 63, Index: 5}}}, 0: {Low: 7}}}},
+		{"fwd", "kv/fwd", &Fwd{View: 9, Subs: []string{EncodeBatch(SubBatch{Origin: 1, Seq: 7, Cmds: []string{kvCmd("k", "v")}})}}},
+		{"clock-req", "reg7/clock_req", &Seq{Seq: 42}},
+		{"clock-resp", "reg7/clock_resp", &SeqClock{Seq: 42, Clock: 99}},
+		{"get-resp", "reg7/get_resp", &StateClock{State: regState("v", 3, 1), Clock: 99}},
+		{"set-req", "reg7/set_req", &SeqData{Seq: 43, Data: regState("w", 4, 1)}},
+		{"set-resp", "reg7/set_resp", &SeqClock{Seq: 43, Clock: 100}},
+		{"qaf-prop", "qaf/prop", ptr(propBody(8))},
+		{"qaf-prop-clocks", "qaf/prop", &Props{{Name: "reg0", Clock: 1 << 50, V: 3}, {Name: "reg1", Clock: 1 << 50, V: -1}}},
+		{"qaf-ack", "qaf/ack", &Clocks{{Name: "reg0", Clock: 7}, {Name: "reg1", Clock: 8}}},
+		{"qaf-nudge", "qaf/nudge", &Clocks{{Name: "reg0", Clock: 1 << 50}}},
+		{"lease-ask", "lease/ask", &Slot{Slot: 77}},
+		{"empty-lists", "t", &Props{}},
+		{"empty-topic", "", &Slot{Slot: 1}},
 	}
 }
 
-// TestUnmarshalMatchesJSONOnMarshalOutput pins the hand-split envelope to
-// encoding/json, byte for byte, on everything Marshal produces.
+func ptr[T any](v T) *T { return &v }
+
+// TestUnmarshalMatchesJSONOnMarshalOutput: on everything Marshal produces,
+// Unmarshal returns the topic and exactly the body bytes the body's codec
+// wrote, the body decodes to the value sent, and the header up to the
+// topic's closing quote is the JSON object encoding/json reads the same
+// topic from — the part of the envelope a packet tap parses.
 func TestUnmarshalMatchesJSONOnMarshalOutput(t *testing.T) {
 	for _, s := range envelopeShapes() {
-		p, err := Marshal(s.topic, s.body)
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		got, err := Unmarshal(p)
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		var want Message
-		if err := json.Unmarshal(p, &want); err != nil {
-			t.Fatalf("%s: reference: %v", s.name, err)
-		}
-		if got.Topic != want.Topic || !bytes.Equal(got.Body, want.Body) {
-			t.Fatalf("%s: got (%q, %s), want (%q, %s)", s.name, got.Topic, got.Body, want.Topic, want.Body)
-		}
-		_, fast := splitEnvelope(p)
-		if plain := plainTopic(s.topic); fast != plain {
-			t.Fatalf("%s: fast path taken = %v for plain topic = %v", s.name, fast, plain)
+		for _, b := range []Encoder{s.body, nil} {
+			p, err := Marshal(s.topic, b)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			got, err := Unmarshal(p)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			var want []byte
+			if b != nil {
+				want = b.AppendWire(nil)
+			}
+			if got.Topic != s.topic || !bytes.Equal(got.Body, want) {
+				t.Fatalf("%s: got (%q, %x), want (%q, %x)", s.name, got.Topic, got.Body, s.topic, want)
+			}
+			header := append(p[:len(topicOpen)+len(s.topic)+1:len(topicOpen)+len(s.topic)+1], '}')
+			if topic, err := jsonTopic(header); err != nil || topic != s.topic {
+				t.Fatalf("%s: header %q reads as topic %q, %v", s.name, header, topic, err)
+			}
+			if b == nil {
+				continue
+			}
+			v := reflect.New(reflect.TypeOf(s.body).Elem()).Interface().(codec)
+			if err := Decode(got, v); err != nil || !reflect.DeepEqual(v, s.body) {
+				t.Fatalf("%s: decoded %+v, %v; want %+v", s.name, v, err, s.body)
+			}
 		}
 	}
 }
@@ -190,11 +172,10 @@ func TestUnmarshalBodyDoesNotGrowIntoPayload(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshal checks the hand-split envelope against encoding/json:
-// whenever the fast path returns a topic and a body that is valid JSON,
-// json.Unmarshal accepts the payload with the same topic and an equal body
-// (compared compacted). A body that is not valid JSON carries no claim —
-// the Decode that reads it rejects it.
+// FuzzUnmarshal checks that Unmarshal is the exact inverse of Marshal and
+// accepts nothing else: whenever it returns a topic and a body, marshaling
+// them back reproduces the payload byte for byte, and the header reads as
+// the same topic under encoding/json.
 func FuzzUnmarshal(f *testing.F) {
 	for _, s := range envelopeShapes() {
 		p, err := Marshal(s.topic, s.body)
@@ -213,48 +194,120 @@ func FuzzUnmarshal(f *testing.F) {
 		`{"t":"x"} `,
 		`{"t":"x","b":}`,
 		`{"t":"x\"y","b":1}`,
-		`{"t":"xA","b":1}`,
+		`{"t":"x\u0041","b":1}`,
 		`{"b":1,"t":"x"}`,
 		`{"T":"x","b":1}`,
 		`{nope`,
+		"{\"t\":\"x\",\"b\":\x00\xff}}",
+		"{\"t\":\"x\",\"b\":\"}",
 	} {
 		f.Add([]byte(p))
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
-		m, ok := splitEnvelope(p)
-		got, err := Unmarshal(p)
-		if ok && (err != nil || got.Topic != m.Topic || !bytes.Equal(got.Body, m.Body)) {
-			t.Fatalf("Unmarshal(%q) = (%q, %q, %v), split (%q, %q)", p, got.Topic, got.Body, err, m.Topic, m.Body)
-		}
-		if !ok || (len(m.Body) > 0 && !json.Valid(m.Body)) {
+		m, err := Unmarshal(p)
+		if err != nil {
 			return
 		}
-		var ref Message
-		if err := json.Unmarshal(p, &ref); err != nil {
-			t.Fatalf("fast path accepted %q, json rejects it: %v", p, err)
+		var b Encoder
+		if len(m.Body) > 0 {
+			b = rawBody(m.Body)
 		}
-		if ref.Topic != m.Topic {
-			t.Fatalf("%q: topic %q, json %q", p, m.Topic, ref.Topic)
+		again, err := Marshal(m.Topic, b)
+		if err != nil || !bytes.Equal(again, p) {
+			t.Fatalf("Unmarshal(%q) = (%q, %q), which marshals to %q, %v", p, m.Topic, m.Body, again, err)
 		}
-		if len(m.Body) == 0 {
-			if len(ref.Body) != 0 {
-				t.Fatalf("%q: no body, json body %q", p, ref.Body)
-			}
-			return
-		}
-		if compact(t, m.Body) != compact(t, ref.Body) {
-			t.Fatalf("%q: body %q, json %q", p, m.Body, ref.Body)
+		header := append([]byte(topicOpen+m.Topic), '"', '}')
+		if topic, err := jsonTopic(header); err != nil || topic != m.Topic {
+			t.Fatalf("%q: header %q reads as topic %q, %v", p, header, topic, err)
 		}
 	})
 }
 
-func compact(t *testing.T, b []byte) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, b); err != nil {
-		t.Fatalf("compact %q: %v", b, err)
+// FuzzDecodeBodies feeds arbitrary bytes to every body type's decoder and
+// to the checkpoint decoder. None panics; none makes more than two list,
+// map or byte elements per input byte, accepted or not (a count is checked
+// against the input before anything is made); and whatever one
+// accepts re-encodes, no longer than the input, to bytes that decode to the
+// same value.
+func FuzzDecodeBodies(f *testing.F) {
+	for _, s := range envelopeShapes() {
+		f.Add(s.body.AppendWire(nil))
 	}
-	return buf.String()
+	f.Add([]byte{})
+	f.Add([]byte{0x7f})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, mk := range bodyTypes {
+			v := mk()
+			err := v.DecodeWire(in)
+			if n := elements(reflect.ValueOf(v)); n > 2*len(in) {
+				t.Fatalf("%T: decoding %d bytes made %d elements", v, len(in), n)
+			}
+			if err != nil {
+				continue
+			}
+			out := v.AppendWire(nil)
+			if len(out) > len(in) {
+				t.Fatalf("%T: %x re-encodes longer, to %x", v, in, out)
+			}
+			w := mk()
+			if err := w.DecodeWire(out); err != nil || !reflect.DeepEqual(v, w) {
+				t.Fatalf("%T: %x decodes to %+v, re-encoded %x to %+v, %v", v, in, v, out, w, err)
+			}
+		}
+		c, err := DecodeCheckpoint(checkpointMagic + string(in))
+		if err != nil {
+			return
+		}
+		out, err := EncodeCheckpoint(c)
+		if err != nil {
+			t.Fatalf("checkpoint %x decodes to %+v, which does not encode: %v", in, c, err)
+		}
+		if again, err := DecodeCheckpoint(out); err != nil || !reflect.DeepEqual(again, c) {
+			t.Fatalf("checkpoint %x decodes to %+v, re-encoded to %+v, %v", in, c, again, err)
+		}
+	})
+}
+
+// jsonTopic reads the topic out of an envelope header with encoding/json.
+func jsonTopic(header []byte) (string, error) {
+	var ref struct {
+		T string `json:"t"`
+	}
+	err := json.Unmarshal(header, &ref)
+	return ref.T, err
+}
+
+// elements counts the slice, map and byte-slice elements a decoded value
+// holds, everywhere in it: what a decoder sized by counts it read.
+func elements(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return elements(v.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += elements(v.Field(i))
+		}
+		return n
+	case reflect.Slice:
+		n := v.Len()
+		for i := 0; i < v.Len(); i++ {
+			n += elements(v.Index(i))
+		}
+		return n
+	case reflect.Map:
+		n := v.Len()
+		for it := v.MapRange(); it.Next(); {
+			n += elements(it.Value())
+		}
+		return n
+	}
+	return 0
 }
 
 // FuzzDecodeBatch feeds arbitrary bytes to the batch value decoder: it never

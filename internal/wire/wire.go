@@ -1,21 +1,30 @@
-// Package wire defines the JSON envelope used by all protocol messages. A
-// message is a topic string (which selects the handler at the destination)
-// plus a JSON-encoded body.
+// Package wire defines the encoding of every protocol message: an envelope
+// naming the topic, which selects the handler at the destination, around a
+// binary body.
 //
-// The envelope format is fixed: Marshal emits exactly
-// {"t":"<topic>","b":<body>}, or {"t":"<topic>"} without a body, with the
-// bytes json.Marshal(Message{...}) would produce. Unmarshal parses that shape
-// by hand when the topic needs no escaping — a prefix scan for the topic and
-// a check for the closing brace, with the body aliasing the payload — and
-// hands every other input to encoding/json. The envelope itself is not
-// validated on the fast path; the body is, by the Decode that reads it.
+// The envelope is fixed: Marshal emits exactly {"t":"<topic>","b":<body>},
+// or {"t":"<topic>"} without a body. A topic is printable ASCII with no
+// character JSON would escape, so the header up to the topic's closing
+// quote is plain JSON and a packet tap can classify messages by it; the
+// body after it is raw bytes, ended by the payload's final '}'. Unmarshal
+// is the exact inverse of Marshal on that shape and rejects everything
+// else.
+//
+// A body is one of the types in bodies.go, encoded with the primitives in
+// codec.go: fields in order, no tags, varints and length-prefixed bytes.
+// The KV command, lease grant, register state and checkpoint formats are
+// built from the same primitives. Decoding never reflects, reads nothing
+// past its input, allocates in proportion to the input's length, and
+// rejects trailing bytes. Marshal and Decode take the codec interfaces
+// (Encoder, Decoder), so a body without a codec does not compile.
 package wire
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,30 +32,33 @@ import (
 
 // Message is the on-the-wire envelope.
 type Message struct {
-	Topic string          `json:"t"`
-	Body  json.RawMessage `json:"b,omitempty"`
+	Topic string
+	Body  []byte
 }
 
-// encoder is the pooled scratch state of Marshal: one reusable buffer and a
-// json.Encoder bound to it, so encoding a body does not allocate a fresh
-// encode state per message.
-type encoder struct {
-	buf bytes.Buffer
-	js  *json.Encoder
+// Encoder is a message body: it appends its encoding to b.
+type Encoder interface {
+	AppendWire(b []byte) []byte
 }
 
-var encPool = sync.Pool{
-	New: func() any {
-		e := &encoder{}
-		e.js = json.NewEncoder(&e.buf)
-		return e
-	},
+// Decoder is a message body to decode into: it reads exactly one encoded
+// body out of b.
+type Decoder interface {
+	DecodeWire(b []byte) error
 }
+
+// bufPool holds Marshal's scratch buffers: one reusable buffer per encode
+// instead of a growing fresh one.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooled caps the buffers kept in bufPool, so one large message (a
+// snapshot-install) does not pin its buffer for the process's lifetime.
+const maxPooled = 64 << 10
 
 // plainTopic reports whether the topic can be emitted between bare quotes:
 // printable ASCII with nothing the JSON string grammar (or the encoding/json
-// HTML-safe convention) escapes. Every topic in this codebase qualifies; the
-// fallback keeps Marshal correct for arbitrary strings.
+// HTML-safe convention) escapes. Every topic in the library qualifies, and
+// Marshal rejects any other.
 func plainTopic[S string | []byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -57,43 +69,32 @@ func plainTopic[S string | []byte](s S) bool {
 	return true
 }
 
-// Marshal encodes a topic and body into a payload. The envelope is built in
-// one pass over a pooled buffer: the body is JSON-encoded directly into the
-// output instead of being marshaled to an intermediate RawMessage that the
-// envelope marshal re-scans (the seed path paid two full encodes plus their
-// allocations per message). The produced bytes are identical to
-// json.Marshal(Message{...}).
-func Marshal(topic string, body any) ([]byte, error) {
-	e := encPool.Get().(*encoder)
-	e.buf.Reset()
-	e.buf.WriteString(`{"t":`)
-	if plainTopic(topic) {
-		e.buf.WriteByte('"')
-		e.buf.WriteString(topic)
-		e.buf.WriteByte('"')
-	} else {
-		t, err := json.Marshal(topic)
-		if err != nil {
-			encPool.Put(e)
-			return nil, fmt.Errorf("marshal topic %q: %w", topic, err)
-		}
-		e.buf.Write(t)
+// The fixed envelope shape.
+const (
+	topicOpen = `{"t":"`
+	bodyKey   = `,"b":`
+)
+
+// Marshal encodes a topic and body into a payload, in one pass over a
+// pooled buffer. A nil body sends the topic alone. The result owns its
+// bytes: transports retain payloads past this call (simulated delays,
+// broadcast fan-out).
+func Marshal(topic string, body Encoder) ([]byte, error) {
+	if !plainTopic(topic) {
+		return nil, fmt.Errorf("marshal: topic %q is not plain ASCII", topic)
 	}
+	bp := bufPool.Get().(*[]byte)
+	b := append((*bp)[:0], topicOpen...)
+	b = append(append(b, topic...), '"')
 	if body != nil {
-		e.buf.WriteString(`,"b":`)
-		if err := e.js.Encode(body); err != nil {
-			encPool.Put(e)
-			return nil, fmt.Errorf("marshal body for topic %q: %w", topic, err)
-		}
-		e.buf.Truncate(e.buf.Len() - 1) // drop the Encoder's trailing newline
+		b = body.AppendWire(append(b, bodyKey...))
 	}
-	e.buf.WriteByte('}')
-	// The result must own its bytes: transports retain payloads past this
-	// call (simulated delays, broadcast fan-out), so the pooled buffer cannot
-	// back it.
-	out := make([]byte, e.buf.Len())
-	copy(out, e.buf.Bytes())
-	encPool.Put(e)
+	b = append(b, '}')
+	out := slices.Clone(b)
+	if cap(b) <= maxPooled {
+		*bp = b
+		bufPool.Put(bp)
+	}
 	return out, nil
 }
 
@@ -115,10 +116,9 @@ type SubBatch struct {
 
 // EncodeBatch packs sub-batches into one batch value: batchMagic, then per
 // sub-batch its origin, seq and command count, then each command as its
-// length and its bytes. Every number is decimal and ends with ':'. Values
-// travel inside JSON strings, which replace bytes that are not valid UTF-8,
-// so the framing is plain ASCII (needing no escapes either); the commands
-// themselves travel as they would alone. Order is preserved.
+// length and its bytes. Every number is decimal and ends with ':', so the
+// framing is plain ASCII; the commands are copied in as they are, binary or
+// not. Order is preserved.
 func EncodeBatch(subs ...SubBatch) string {
 	const maxNum = 21 // 20 digits of a uint64 plus ':'
 	n := len(batchMagic)
@@ -224,10 +224,10 @@ func number(p string) (uint64, string, bool) {
 }
 
 // checkpointMagic prefixes a serialized KV checkpoint travelling as one
-// opaque string (see smr's log compaction). Byte 0x02 cannot open a JSON
-// document, so a checkpoint is always distinguishable from the JSON-encoded
-// commands and batches the SMR layers store.
-const checkpointMagic = "\x02c1"
+// opaque string (see smr's log compaction). Its version byte distinguishes
+// this binary format from the JSON object of "\x02c1": a checkpoint in the
+// old format is rejected, never misread.
+const checkpointMagic = "\x02c2"
 
 // Checkpoint is the serialized applied state of a replicated KV at a log
 // frontier: every slot below Frontier is folded into State. MetaSlot/Meta
@@ -235,30 +235,34 @@ const checkpointMagic = "\x02c1"
 // as meta entries; replaying the newest one on restore re-establishes the
 // writer gate an installed process would otherwise miss).
 type Checkpoint struct {
-	Frontier int64             `json:"f"`
-	State    map[string]string `json:"s,omitempty"`
-	MetaSlot int64             `json:"ms,omitempty"`
-	Meta     string            `json:"m,omitempty"`
+	Frontier int64
+	State    map[string]string
+	MetaSlot int64
+	Meta     string
 }
 
-// EncodeCheckpoint packs a checkpoint into one opaque string using the
-// pooled encoder. The encoding is checkpointMagic followed by the JSON
-// object.
+// EncodeCheckpoint packs a checkpoint into one opaque string:
+// checkpointMagic, the frontier, the state's pairs in key order, then the
+// meta entry.
 func EncodeCheckpoint(c Checkpoint) (string, error) {
 	if c.Frontier < 0 {
 		return "", fmt.Errorf("checkpoint frontier %d is negative", c.Frontier)
 	}
-	e := encPool.Get().(*encoder)
-	e.buf.Reset()
-	e.buf.WriteString(checkpointMagic)
-	if err := e.js.Encode(c); err != nil {
-		encPool.Put(e)
-		return "", fmt.Errorf("marshal checkpoint: %w", err)
+	keys := make([]string, 0, len(c.State))
+	n := len(checkpointMagic) + 3*binary.MaxVarintLen64 + len(c.Meta)
+	for k, v := range c.State {
+		keys = append(keys, k)
+		n += 2*binary.MaxVarintLen64 + len(k) + len(v)
 	}
-	e.buf.Truncate(e.buf.Len() - 1) // drop the Encoder's trailing newline
-	out := e.buf.String()           // String copies; the pooled buffer may be reused
-	encPool.Put(e)
-	return out, nil
+	slices.Sort(keys) // one state, one encoding
+	b := make([]byte, 0, n)
+	b = append(b, checkpointMagic...)
+	b = AppendUvarint(AppendVarint(b, c.Frontier), uint64(len(keys)))
+	for _, k := range keys {
+		b = AppendString(AppendString(b, k), c.State[k])
+	}
+	b = AppendString(AppendVarint(b, c.MetaSlot), c.Meta)
+	return string(b), nil
 }
 
 // IsCheckpoint reports whether a value is a checkpoint produced by
@@ -267,29 +271,36 @@ func IsCheckpoint(v string) bool {
 	return len(v) >= len(checkpointMagic) && v[:len(checkpointMagic)] == checkpointMagic
 }
 
-// DecodeCheckpoint unpacks a checkpoint value.
+// DecodeCheckpoint unpacks a checkpoint value. The state's keys and values
+// share one copy of v, not v itself: v usually sits inside a larger
+// snapshot-install message the restored state must not keep alive.
 func DecodeCheckpoint(v string) (Checkpoint, error) {
 	if !IsCheckpoint(v) {
 		return Checkpoint{}, fmt.Errorf("not a checkpoint value (missing marker)")
 	}
-	var c Checkpoint
-	if err := json.Unmarshal([]byte(v[len(checkpointMagic):]), &c); err != nil {
-		return Checkpoint{}, fmt.Errorf("unmarshal checkpoint: %w", err)
+	r := NewReader(strings.Clone(v[len(checkpointMagic):]))
+	c := Checkpoint{Frontier: r.Varint()}
+	n := r.Count(2)
+	c.State = make(map[string]string, n)
+	for range n {
+		k := r.String()
+		c.State[k] = r.String()
+	}
+	c.MetaSlot, c.Meta = r.Varint(), r.String()
+	if err := r.Done(); err != nil {
+		return Checkpoint{}, fmt.Errorf("decode checkpoint: %w", err)
+	}
+	if c.Frontier < 0 {
+		return Checkpoint{}, fmt.Errorf("checkpoint frontier %d is negative", c.Frontier)
 	}
 	return c, nil
 }
 
-// The fixed envelope shape Marshal emits for a plain topic.
-const (
-	topicOpen = `{"t":"`
-	bodyKey   = `,"b":`
-)
-
 // splitEnvelope cuts topic and body out of a payload of exactly the shape
-// Marshal emits for a plain topic: {"t":"<topic>"} or
-// {"t":"<topic>","b":<body>}. The body is everything between the key and
-// the closing brace, unvalidated, aliasing the payload (capacity-clipped so
-// an append cannot write into it). ok is false for any other input.
+// Marshal emits: {"t":"<topic>"} or {"t":"<topic>","b":<body>} with a
+// plain topic and a non-empty body. The body is everything between the key
+// and the final byte, aliasing the payload (capacity-clipped so an append
+// cannot write into it). ok is false for any other input.
 func splitEnvelope(p []byte) (m Message, ok bool) {
 	if len(p) < len(topicOpen)+2 || string(p[:len(topicOpen)]) != topicOpen || p[len(p)-1] != '}' {
 		return Message{}, false
@@ -309,24 +320,19 @@ func splitEnvelope(p []byte) (m Message, ok bool) {
 	return Message{}, false
 }
 
-// Unmarshal decodes a payload into its envelope. A payload of the shape
-// Marshal emits is split by hand (splitEnvelope) and its Body aliases the
+// Unmarshal splits a payload into its envelope. The Body aliases the
 // payload, so the caller must not modify the payload while the Message is
-// in use; anything else goes through encoding/json.
+// in use.
 func Unmarshal(payload []byte) (Message, error) {
 	if m, ok := splitEnvelope(payload); ok {
 		return m, nil
 	}
-	var m Message
-	if err := json.Unmarshal(payload, &m); err != nil {
-		return Message{}, fmt.Errorf("unmarshal envelope: %w", err)
-	}
-	return m, nil
+	return Message{}, fmt.Errorf("unmarshal: not a message envelope (%d bytes)", len(payload))
 }
 
 // Decode decodes a message body into v.
-func Decode(m Message, v any) error {
-	if err := json.Unmarshal(m.Body, v); err != nil {
+func Decode(m Message, v Decoder) error {
+	if err := v.DecodeWire(m.Body); err != nil {
 		return fmt.Errorf("decode body of topic %q: %w", m.Topic, err)
 	}
 	return nil

@@ -2,58 +2,47 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-// marshalReference is the seed implementation of Marshal: marshal the body,
-// then marshal the envelope around it (two full encodes per message). Kept
-// as the byte-compatibility oracle and benchmark baseline.
-func marshalReference(topic string, body any) ([]byte, error) {
-	var raw json.RawMessage
+// marshalReference is the envelope built the obvious way: the header, the
+// body appended to a fresh buffer, the closing brace. Marshal's pooled
+// single pass must produce the same bytes.
+func marshalReference(topic string, body Encoder) ([]byte, error) {
+	if !plainTopic(topic) {
+		return nil, fmt.Errorf("topic %q is not plain", topic)
+	}
+	out := []byte(`{"t":"` + topic + `"`)
 	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return nil, fmt.Errorf("marshal body for topic %q: %w", topic, err)
-		}
-		raw = b
+		out = append(append(out, `,"b":`...), body.AppendWire(nil)...)
 	}
-	out, err := json.Marshal(Message{Topic: topic, Body: raw})
-	if err != nil {
-		return nil, fmt.Errorf("marshal envelope for topic %q: %w", topic, err)
-	}
-	return out, nil
+	return append(out, '}'), nil
 }
 
-// TestMarshalMatchesReference pins the fast path to the seed wire format,
-// byte for byte, across representative and adversarial inputs.
+// TestMarshalMatchesReference pins the pooled fast path to the reference
+// envelope, byte for byte, across every body in the tree and adversarial
+// topics and bodies.
 func TestMarshalMatchesReference(t *testing.T) {
-	type entry struct {
-		N string `json:"n"`
-		S []byte `json:"s"`
-		C int64  `json:"c"`
-	}
-	cases := []struct {
+	type tc struct {
 		topic string
-		body  any
-	}{
-		{"reg/clock_req", map[string]int64{"seq": 42}},
-		{"qaf/prop", []entry{{N: "obj1", S: []byte(`{"v":1}`), C: 7}, {N: "obj2", C: -1}}},
-		{"empty-body", nil},
-		{"smr/slot0/1b", struct {
-			View   int64  `json:"view"`
-			Val    string `json:"val"`
-			HasVal bool   `json:"has_val"`
-		}{3, "x<&>y", true}},
-		{`needs "escaping"\`, "plain"},
-		{"unicode-τοπίκ", []string{"<script>", "ü"}},
-		{"ctrl\x01topic", 1},
-		{"raw", json.RawMessage(`{"k": [1,2 ,3]}`)}, // non-compact raw body
-		{"null-body", json.RawMessage("null")},
+		body  Encoder
 	}
+	var cases []tc
+	for _, s := range envelopeShapes() {
+		cases = append(cases, tc{s.topic, s.body})
+	}
+	cases = append(cases,
+		tc{"empty-body", nil},
+		tc{"raw", rawBody(`}"{`)},
+		tc{"raw-binary", rawBody{0, 0xff, '"', '}'}},
+		tc{`needs "escaping"\`, body{A: "plain"}},
+		tc{"unicode-τοπίκ", body{A: "<script>"}},
+		tc{"ctrl\x01topic", body{B: 1}},
+		tc{"html<&>", nil},
+	)
 	for _, c := range cases {
 		want, werr := marshalReference(c.topic, c.body)
 		got, gerr := Marshal(c.topic, c.body)
@@ -61,7 +50,7 @@ func TestMarshalMatchesReference(t *testing.T) {
 			t.Fatalf("topic %q: err mismatch: ref=%v fast=%v", c.topic, werr, gerr)
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("topic %q:\nref  %s\nfast %s", c.topic, want, got)
+			t.Fatalf("topic %q:\nref  %q\nfast %q", c.topic, want, got)
 		}
 	}
 }
@@ -70,9 +59,9 @@ func TestMarshalMatchesReference(t *testing.T) {
 // string payloads.
 func TestQuickMarshalMatchesReference(t *testing.T) {
 	f := func(topic, a string, b int) bool {
-		want, _ := marshalReference(topic, body{A: a, B: b})
-		got, _ := Marshal(topic, body{A: a, B: b})
-		return bytes.Equal(want, got)
+		want, werr := marshalReference(topic, body{A: a, B: b})
+		got, gerr := Marshal(topic, body{A: a, B: b})
+		return bytes.Equal(want, got) && (werr == nil) == (gerr == nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -105,28 +94,10 @@ func TestMarshalConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-type benchBody struct {
-	Name  string `json:"n"`
-	State []byte `json:"s"`
-	Clock int64  `json:"c"`
-}
-
-func benchPayload() []benchBody {
-	out := make([]benchBody, 8)
-	for i := range out {
-		out[i] = benchBody{
-			Name:  fmt.Sprintf("obj%d", i),
-			State: []byte(`{"val":"payload-value","ver":{"num":12345,"proc":2}}`),
-			Clock: int64(1000 + i),
-		}
-	}
-	return out
-}
-
 // BenchmarkWireMarshal compares the single-pass pooled encoder against the
-// seed double-encode path; run with -benchmem to see the allocation drop.
+// reference envelope on a propagation batch of eight register states.
 func BenchmarkWireMarshal(b *testing.B) {
-	payload := benchPayload()
+	payload := propBody(8)
 	b.Run("fast", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -150,12 +121,12 @@ func BenchmarkWireMarshal(b *testing.B) {
 // decodes into.
 var decodeRungs = []struct {
 	shape string
-	into  func() any
+	into  func() Decoder
 }{
-	{"2b-batch64", func() any { return new(shape2B) }},
-	{"dec", func() any { return new(shapeDec) }},
-	{"ckpt", func() any { return new(shapeCkpt) }},
-	{"qaf-prop", func() any { return new([]shapeProp) }},
+	{"2b-batch64", func() Decoder { return new(Accept) }},
+	{"dec", func() Decoder { return new(Decision) }},
+	{"ckpt", func() Decoder { return new(Slot) }},
+	{"qaf-prop", func() Decoder { return new(Props) }},
 }
 
 // rungPayload returns the Marshal output of the named envelope shape.

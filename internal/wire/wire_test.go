@@ -10,8 +10,16 @@ import (
 )
 
 type body struct {
-	A string `json:"a"`
-	B int    `json:"b"`
+	A string
+	B int
+}
+
+func (v body) AppendWire(b []byte) []byte { return AppendVarint(AppendString(b, v.A), int64(v.B)) }
+
+func (v *body) DecodeWire(b []byte) error {
+	r := NewReader(b)
+	v.A, v.B = r.String(), r.Int()
+	return r.Done()
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -40,6 +48,9 @@ func TestNilBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if string(payload) != `{"t":"empty"}` {
+		t.Fatalf("payload = %q", payload)
+	}
 	m, err := Unmarshal(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -47,28 +58,95 @@ func TestNilBody(t *testing.T) {
 	if len(m.Body) != 0 {
 		t.Fatalf("body = %q, want empty", m.Body)
 	}
+	var v body
+	if err := Decode(m, &v); err == nil {
+		t.Error("missing body decoded")
+	}
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := Marshal("t", make(chan int)); err == nil {
-		t.Error("unmarshalable body accepted")
+	for _, topic := range []string{`a"b`, `a\b`, "a\x01b", "τ", "a<b", "a&b"} {
+		if _, err := Marshal(topic, body{}); err == nil {
+			t.Errorf("topic %q accepted", topic)
+		}
 	}
-	if _, err := Unmarshal([]byte("{nope")); err == nil {
-		t.Error("garbage envelope accepted")
+	for _, p := range []string{"{nope", `{"t":"x","b":}`, `{"t":"x"} `, `{"b":1,"t":"x"}`, `{"t":"x","c":1}`, ""} {
+		if _, err := Unmarshal([]byte(p)); err == nil {
+			t.Errorf("garbage envelope %q accepted", p)
+		}
 	}
-	m := Message{Topic: "t", Body: []byte("{bad")}
-	var v body
-	if err := Decode(m, &v); err == nil {
-		t.Error("garbage body accepted")
+	good := body{A: "x", B: -5}.AppendWire(nil)
+	for _, b := range [][]byte{
+		nil,
+		[]byte("{bad"),
+		good[:len(good)-1], // truncated
+		append(good, 0),    // trailing byte
+		{5, 'a'},           // string overruns the body
+		{0x80, 0x00, 0},    // length in a longer form than needed
+		{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // varint overflows
+	} {
+		var v body
+		if err := Decode(Message{Topic: "t", Body: b}, &v); err == nil {
+			t.Errorf("garbage body %q accepted as %+v", b, v)
+		}
 	}
 }
 
-// Property: arbitrary topics and string bodies round-trip exactly.
+// The primitives round-trip their extremes, and Bool, Count and Int reject
+// what they cannot represent.
+func TestCodecPrimitives(t *testing.T) {
+	var b []byte
+	for _, x := range []uint64{0, 1, 127, 128, math.MaxUint64} {
+		b = AppendUvarint(b, x)
+	}
+	for _, x := range []int64{0, -1, math.MinInt64, math.MaxInt64} {
+		b = AppendVarint(b, x)
+	}
+	b = AppendBool(AppendBool(b, true), false)
+	b = AppendBytes(AppendString(b, "ü\x00"), []byte{0, 1})
+	r := NewReader(b)
+	for _, x := range []uint64{0, 1, 127, 128, math.MaxUint64} {
+		if got := r.Uvarint(); got != x {
+			t.Fatalf("uvarint %d read as %d", x, got)
+		}
+	}
+	for _, x := range []int64{0, -1, math.MinInt64, math.MaxInt64} {
+		if got := r.Varint(); got != x {
+			t.Fatalf("varint %d read as %d", x, got)
+		}
+	}
+	if !r.Bool() || r.Bool() || r.String() != "ü\x00" || !reflect.DeepEqual(r.Bytes(), []byte{0, 1}) {
+		t.Fatal("bool, string or bytes changed")
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+		read func(*Reader[[]byte])
+	}{
+		{"bool 2", []byte{2}, func(r *Reader[[]byte]) { r.Bool() }},
+		{"count over input", []byte{2, 0}, func(r *Reader[[]byte]) { r.Count(1) }},
+		{"count of 2-byte elements", []byte{2, 0, 0}, func(r *Reader[[]byte]) { r.Count(2) }},
+		{"uvarint past 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, func(r *Reader[[]byte]) { r.Uvarint() }},
+		{"uvarint unterminated", []byte{0x80}, func(r *Reader[[]byte]) { r.Uvarint() }},
+	} {
+		r := NewReader(c.in)
+		c.read(&r)
+		if r.Done() == nil {
+			t.Errorf("%s: %v accepted", c.name, c.in)
+		}
+	}
+}
+
+// Property: arbitrary topics and string bodies round-trip exactly when the
+// topic is plain, and are rejected otherwise.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(topic, a string, b int) bool {
 		payload, err := Marshal(topic, body{A: a, B: b})
 		if err != nil {
-			return false
+			return !plainTopic(topic)
 		}
 		m, err := Unmarshal(payload)
 		if err != nil || m.Topic != topic {
@@ -85,13 +163,39 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// Batch values round-trip exactly and are always distinguishable from the
-// JSON-encoded single commands the SMR layers store.
+// A checkpoint round-trips, encodes one state one way, and rejects the JSON
+// format it replaced, truncation and trailing bytes.
+func TestCheckpointRoundTrip(t *testing.T) {
+	c := Checkpoint{Frontier: 64, State: map[string]string{"b": "2", "a": "", "": "\x00"}, MetaSlot: 63, Meta: "grant"}
+	v, err := EncodeCheckpoint(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeCheckpoint(v)
+	if err != nil || !reflect.DeepEqual(got, c) {
+		t.Fatalf("decoded %+v, %v; want %+v", got, err, c)
+	}
+	for i := 0; i < 5; i++ {
+		if again, _ := EncodeCheckpoint(c); again != v {
+			t.Fatal("one state encoded two ways")
+		}
+	}
+	for _, bad := range []string{"\x02c1{\"f\":64}", v[:len(v)-1], v + "x", "plain"} {
+		if _, err := DecodeCheckpoint(bad); err == nil {
+			t.Errorf("checkpoint %q accepted", bad)
+		}
+	}
+	if _, err := EncodeCheckpoint(Checkpoint{Frontier: -1}); err == nil {
+		t.Error("negative frontier accepted")
+	}
+}
+
+// Batch values round-trip exactly, whatever bytes the commands hold.
 func TestBatchRoundTrip(t *testing.T) {
 	for _, subs := range [][]SubBatch{
 		{{Origin: 0, Seq: 1, Cmds: []string{"one"}}},
 		{{Origin: 3, Seq: 9, Cmds: []string{"a", "b", "c"}}, {Origin: 1, Seq: 1 << 33, Cmds: []string{"d"}}},
-		{{Origin: 2, Seq: 4, Cmds: []string{`{"id":"p0-1","key":"k","val":"v"}`, `{"id":"p1-9","key":"k2","val":""}`}}},
+		{{Origin: 2, Seq: 4, Cmds: []string{`{"id":"p0-1","key":"k","val":"v"}`, "\x01k\x01v\x00", "\x00\x00\x00"}}},
 		{{Origin: 1, Seq: 2, Cmds: []string{"", "with \"quotes\" and \\ slashes", "<html>&stuff", "\x01nested"}}},
 		{{Origin: 5, Seq: 6}},
 	} {
