@@ -8,14 +8,15 @@
 // # Lease protocol
 //
 // One configured process (Options.Holder) periodically commits a grant
-// entry through the KV's own log (smr.KV.AppendMeta) and counts its lease
-// as valid for Duration-Skew measured from the instant the grant's append
-// was INVOKED — the earliest moment any process can learn of the grant, so
-// the holder's validity window is the conservative one. Every process
-// applies grant entries in log order (the KV meta observer) and, while a
-// lease may still be in force — apply time plus the entry's duration PLUS
-// Skew — gates its own append completions (smr.Log.SetGate) on the holder
-// having applied the appended slot, via an ask/ack round with the holder.
+// entry through the KV's own log (smr.KV.AppendMeta). Its lease becomes
+// valid when it applies its newest grant and lasts Duration-Skew measured
+// from the instant the grant's append was INVOKED — the earliest moment
+// any process can learn of the grant, so the holder's validity window is
+// the conservative one. Every process applies grant entries in log order
+// (the KV meta observer) and, while a lease may still be in force — apply
+// time plus the entry's duration PLUS Skew — gates its own append
+// completions (smr.Log.SetGate) on the holder having applied the appended
+// slot, via an ask/ack round with the holder.
 // The asymmetry of the two windows (holder subtracts the skew bound,
 // writers add it) guarantees the holder stops serving local reads strictly
 // before any writer stops gating on it, for every grant. Skew also absorbs
@@ -134,8 +135,8 @@ func decodeGrant(meta string) (grantEntry, error) {
 	return g, r.Done()
 }
 
-// Wire bodies: a writer's visibility ask is a wire.Slot naming the slot
-// the holder's applied state must cover, and the holder's ack a wire.Slot
+// Wire bodies: a writer's visibility ask is a wire.Int naming the slot
+// the holder's applied state must cover, and the holder's ack a wire.Int
 // naming the slot it covers.
 
 // Metrics is a point-in-time snapshot of one manager's counters.
@@ -252,8 +253,9 @@ func NewManager(n *node.Node, kv Store, opts Options) *Manager {
 func (m *Manager) Holder() failure.Proc { return m.opts.Holder }
 
 // Holding reports whether this process may serve leased local reads right
-// now. Only the configured holder ever holds; validity lapses Duration-Skew
-// after the last successful grant.
+// now. Only the configured holder ever holds; validity starts when it
+// applies its newest grant and lapses Duration-Skew after that grant's
+// append was invoked.
 func (m *Manager) Holding() bool {
 	if m.self != m.opts.Holder {
 		return false
@@ -311,10 +313,11 @@ func (m *Manager) Metrics() Metrics {
 	}
 }
 
-// renewLoop commits the initial grant and keeps renewing until Stop. A
-// failed renewal (no quorum from the holder: partition) retries at half the
-// interval; once validity lapses, Holding turns false and reads fall back
-// until a renewal commits again.
+// renewLoop commits the initial grant and keeps renewing until Stop; each
+// grant's validity starts when it applies (onMeta). A failed renewal (no
+// quorum from the holder: partition) retries at half the interval; once
+// validity lapses, Holding turns false and reads fall back until a renewal
+// commits again.
 func (m *Manager) renewLoop() {
 	defer m.wg.Done()
 	for {
@@ -329,9 +332,6 @@ func (m *Manager) renewLoop() {
 			sleep = m.opts.Renew / 2
 		} else {
 			m.grants.Add(1)
-			m.mu.Lock()
-			m.extendValidity(t0)
-			m.mu.Unlock()
 		}
 		if m.opts.onRenew != nil {
 			m.opts.onRenew(err)
@@ -353,23 +353,16 @@ func (m *Manager) nextSeq(t0 time.Time) uint64 {
 	return m.seq
 }
 
-// extendValidity extends the holder's serve window for a committed grant
-// whose append was invoked at t0. Validity runs from the append's
-// INVOCATION: no process can have applied the grant before then, so every
-// writer's gate window (apply time + Dur + Skew) strictly outlasts it.
-// Callers hold m.mu.
-func (m *Manager) extendValidity(t0 time.Time) {
-	if until := t0.Add(m.opts.Duration - m.opts.Skew); !m.stopped && until.After(m.validUntil) {
-		m.validUntil = until
-	}
-}
-
 // onMeta applies a committed grant entry (node loop, commit order):
 // writers extend their conservative gate window from the local apply time.
-// The holder applying its newest grant knows it committed, and its applied
-// state covers the grant's slot, so it serves from here on rather than
-// once the append's completion reaches renewLoop. Entries naming a process
-// other than the configured holder are ignored (single-holder protocol).
+// The holder's serve window starts only here, when it applies its newest
+// grant (the log applies an entry before it completes the entry's append,
+// and an install replays the checkpoint's newest grant): it then knows the
+// grant committed and its applied state covers the grant's slot. Validity
+// runs Duration-Skew from the append's INVOCATION: no process can have
+// applied the grant before then, so every writer's gate window (apply time
+// + Dur + Skew) strictly outlasts it. Entries naming a process other than
+// the configured holder are ignored (single-holder protocol).
 func (m *Manager) onMeta(_ int64, meta string) {
 	g, err := decodeGrant(meta)
 	if err != nil {
@@ -383,8 +376,10 @@ func (m *Manager) onMeta(_ int64, meta string) {
 	if until.After(m.inForceUntil) {
 		m.inForceUntil = until
 	}
-	if m.self == m.opts.Holder && g.Seq == m.seq {
-		m.extendValidity(m.sentAt)
+	if m.self == m.opts.Holder && g.Seq == m.seq && !m.stopped {
+		if until := m.sentAt.Add(m.opts.Duration - m.opts.Skew); until.After(m.validUntil) {
+			m.validUntil = until
+		}
 	}
 	m.mu.Unlock()
 }
@@ -416,7 +411,7 @@ func (m *Manager) gate(slot int64) {
 		m.mu.Unlock()
 		// (Re)send the ask each pass: the first ask may have been lost to
 		// the very partition the window is riding out.
-		m.n.Send(m.opts.Holder, m.topicAsk, wire.Slot{Slot: slot})
+		m.n.Send(m.opts.Holder, m.topicAsk, wire.Int(slot))
 		waited = true
 		timer := m.clk.NewTimer(m.clk.Until(deadline))
 		select {
@@ -438,15 +433,15 @@ func (m *Manager) gate(slot int64) {
 // wait is off-loop; it resolves immediately when the slot is already
 // covered.
 func (m *Manager) onAsk(from failure.Proc, msg wire.Message) {
-	var a wire.Slot
-	if wire.Decode(msg, &a) != nil {
+	var slot wire.Int
+	if wire.Decode(msg, &slot) != nil {
 		return
 	}
 	go func() {
-		if m.kv.WaitApplied(m.ctx, a.Slot) != nil {
+		if m.kv.WaitApplied(m.ctx, int64(slot)) != nil {
 			return
 		}
-		m.n.Send(from, m.topicAck, wire.Slot{Slot: a.Slot})
+		m.n.Send(from, m.topicAck, slot)
 	}()
 }
 
@@ -457,13 +452,13 @@ func (m *Manager) onAck(from failure.Proc, msg wire.Message) {
 	if from != m.opts.Holder {
 		return
 	}
-	var a wire.Slot
-	if wire.Decode(msg, &a) != nil {
+	var slot wire.Int
+	if wire.Decode(msg, &slot) != nil {
 		return
 	}
 	m.mu.Lock()
-	if a.Slot > m.acked {
-		m.acked = a.Slot
+	if int64(slot) > m.acked {
+		m.acked = int64(slot)
 	}
 	for slot, ch := range m.askWaiters {
 		if slot <= m.acked {

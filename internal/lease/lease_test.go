@@ -328,7 +328,7 @@ func TestSkewWindowWriterSide(t *testing.T) {
 		close(released2)
 	}()
 	r.fc.BlockUntil(1)
-	ack := wire.Slot{Slot: 7}.AppendWire(nil)
+	ack := wire.Int(7).AppendWire(nil)
 	r.mgr.onAck(0, wire.Message{Topic: r.mgr.topicAck, Body: ack})
 	<-released2
 	if g := r.mgr.Metrics().GatedAppends; g != 2 {

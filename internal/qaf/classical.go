@@ -11,8 +11,8 @@ import (
 )
 
 // Wire bodies for the classical protocol (Figure 2): GET_REQ and SET_RESP
-// are a wire.Seq, GET_RESP (the state) and SET_REQ (the update) a
-// wire.SeqData.
+// are a wire.Int (the sequence number), GET_RESP (the state) and SET_REQ
+// (the update) a wire.SeqData.
 
 type classicalPendingGet struct {
 	states map[failure.Proc][]byte
@@ -90,7 +90,7 @@ func (c *Classical) Get(ctx context.Context) ([][]byte, error) {
 			done:   make(chan [][]byte, 1),
 		}
 		c.gets[seq] = pg
-		c.n.Broadcast(c.topicGetReq, wire.Seq{Seq: seq})
+		c.n.Broadcast(c.topicGetReq, wire.Int(seq))
 	}); err != nil {
 		// The registration may still run later; withdraw it behind fn in
 		// loop order (seq is written before the withdrawal reads it).
@@ -175,11 +175,11 @@ func (c *Classical) Metrics() Metrics {
 
 // onGetReq handles GET_REQ (Figure 2, lines 8-9).
 func (c *Classical) onGetReq(from failure.Proc, m wire.Message) {
-	var req wire.Seq
-	if wire.Decode(m, &req) != nil {
+	var seq wire.Int
+	if wire.Decode(m, &seq) != nil {
 		return
 	}
-	c.n.Send(from, c.topicGetResp, wire.SeqData{Seq: req.Seq, Data: c.sm.Snapshot()})
+	c.n.Send(from, c.topicGetResp, wire.SeqData{Seq: int64(seq), Data: c.sm.Snapshot()})
 }
 
 // onGetResp accumulates GET_RESP (Figure 2, line 6).
@@ -218,16 +218,16 @@ func (c *Classical) onSetReq(from failure.Proc, m wire.Message) {
 	if err := c.sm.Apply(req.Data); err != nil {
 		return
 	}
-	c.n.Send(from, c.topicSetResp, wire.Seq{Seq: req.Seq})
+	c.n.Send(from, c.topicSetResp, wire.Int(req.Seq))
 }
 
 // onSetResp accumulates SET_RESP (Figure 2, line 13).
 func (c *Classical) onSetResp(from failure.Proc, m wire.Message) {
-	var resp wire.Seq
-	if wire.Decode(m, &resp) != nil {
+	var seq wire.Int
+	if wire.Decode(m, &seq) != nil {
 		return
 	}
-	ps, ok := c.sets[resp.Seq]
+	ps, ok := c.sets[int64(seq)]
 	if !ok {
 		return
 	}
@@ -235,6 +235,6 @@ func (c *Classical) onSetResp(from failure.Proc, m wire.Message) {
 	if quorumContaining(c.writes, ps.acks) < 0 {
 		return
 	}
-	delete(c.sets, resp.Seq)
+	delete(c.sets, int64(seq))
 	ps.done <- struct{}{} //lint:allow handlerblock done is buffered cap 1 and the pending entry was just deleted, so this is the only send ever
 }

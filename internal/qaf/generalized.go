@@ -12,11 +12,11 @@ import (
 )
 
 // Wire bodies for the generalized protocol (Figure 3): CLOCK_REQ is a
-// wire.Seq, CLOCK_RESP and SET_RESP are wire.SeqClock, SET_REQ is a
-// wire.SeqData and GET_RESP a wire.StateClock. GET_RESP is pushed both
-// periodically (line 12) and in response to nothing at all — it is
-// unsolicited, which is the whole point: members of a read quorum may be
-// unable to receive requests.
+// wire.Int (its sequence number), CLOCK_RESP and SET_RESP are
+// wire.SeqClock, SET_REQ is a wire.SeqData and GET_RESP a wire.StateClock.
+// GET_RESP is pushed both periodically (line 12) and in response to
+// nothing at all — it is unsolicited, which is the whole point: members of
+// a read quorum may be unable to receive requests.
 
 // genPendingGet tracks a quorum_get invocation (Figure 3, lines 3-9).
 type genPendingGet struct {
@@ -163,7 +163,7 @@ func (g *Generalized) Get(ctx context.Context) ([][]byte, error) {
 		}
 		g.gets[seq] = pg
 		// Line 5: establish the clock cutoff from a write quorum.
-		g.n.Broadcast(g.topicClockReq, wire.Seq{Seq: seq})
+		g.n.Broadcast(g.topicClockReq, wire.Int(seq))
 	}); err != nil {
 		// The registration may still run later; withdraw it behind fn in
 		// loop order (seq is written before the withdrawal reads it).
@@ -263,11 +263,11 @@ func (g *Generalized) Clock() int64 {
 
 // onClockReq handles CLOCK_REQ (Figure 3, lines 10-11).
 func (g *Generalized) onClockReq(from failure.Proc, m wire.Message) {
-	var req wire.Seq
-	if wire.Decode(m, &req) != nil {
+	var seq wire.Int
+	if wire.Decode(m, &seq) != nil {
 		return
 	}
-	g.n.Send(from, g.topicClockResp, wire.SeqClock{Seq: req.Seq, Clock: g.clock})
+	g.n.Send(from, g.topicClockResp, wire.SeqClock{Seq: int64(seq), Clock: g.clock})
 }
 
 // onClockResp accumulates CLOCK_RESP for phase-1 gets (Figure 3, lines 6-7).

@@ -3,6 +3,7 @@ package smr
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/clock"
@@ -133,7 +134,7 @@ func (l *Log) CompactionMetrics() CompactionMetrics {
 // CompactionMetrics returns the underlying log's compaction counters.
 func (kv *KV) CompactionMetrics() CompactionMetrics { return kv.log.CompactionMetrics() }
 
-// Wire bodies: a checkpoint announcement is a wire.Slot holding the
+// Wire bodies: a checkpoint announcement is a wire.Int holding the
 // process's checkpoint frontier — every slot below it is folded into its
 // applied state. It doubles as the truncation ack: the prefix below the
 // lowest announced frontier is retired everywhere. A snapshot-install is a
@@ -216,7 +217,7 @@ func (l *Log) checkpoint() {
 	if f > l.ackFrontier[l.n.ID()] {
 		l.ackFrontier[l.n.ID()] = f
 	}
-	l.n.Broadcast(l.topicCkpt, wire.Slot{Slot: f})
+	l.n.Broadcast(l.topicCkpt, wire.Int(f))
 	l.extendWindow(f + l.window)
 	l.maybeTruncate()
 	l.scheduleAckTimeout(f)
@@ -226,14 +227,15 @@ func (l *Log) checkpoint() {
 // the announced frontier, and truncates whatever prefix every process has
 // now retired. Runs on the node loop.
 func (l *Log) onCkpt(from failure.Proc, m wire.Message) {
-	var c wire.Slot
-	if wire.Decode(m, &c) != nil || l.stopped || c.Slot <= 0 {
+	var c wire.Int
+	if wire.Decode(m, &c) != nil || l.stopped || c <= 0 {
 		return
 	}
-	if c.Slot > l.ackFrontier[from] {
-		l.ackFrontier[from] = c.Slot
+	f := int64(c)
+	if f > l.ackFrontier[from] {
+		l.ackFrontier[from] = f
 	}
-	l.extendWindow(c.Slot + l.window)
+	l.extendWindow(f + l.window)
 	l.maybeTruncate()
 }
 
@@ -371,20 +373,22 @@ func (l *Log) onSnap(from failure.Proc, m wire.Message) {
 		}
 		l.truncateTo(s.Frontier)
 		l.installsRecv.Add(1)
-		l.n.Broadcast(l.topicCkpt, wire.Slot{Slot: s.Frontier})
+		l.n.Broadcast(l.topicCkpt, wire.Int(s.Frontier))
 		// Fold any decided slots now contiguous with the installed frontier
 		// and release the prefix waiters the jump covered.
 		l.foldPrefix()
 		l.noteOccupancy()
 	}
 	// The decided suffix rides along regardless: slots still running here
-	// adopt their decisions without re-announcing.
+	// adopt their decisions without re-announcing. Each adopted value is
+	// copied out of the install, which also carries the whole serialized
+	// state: a learned slot must not keep that alive until it is truncated.
 	for _, d := range s.Decs {
 		if d.Slot >= l.base+int64(len(l.slots)) {
 			l.extendWindow(d.Slot + 1)
 		}
 		if inst := l.slotAt(d.Slot); inst != nil {
-			inst.Learn(d.Val)
+			inst.Learn(strings.Clone(d.Val))
 		}
 	}
 }

@@ -132,18 +132,18 @@ func (m *Clocks) DecodeWire(b []byte) error {
 	return r.Done()
 }
 
-// Seq is a quorum access request, or an acknowledgment, that carries only
-// its invocation's sequence number: the generalized CLOCK_REQ and the
-// classical GET_REQ and SET_RESP.
-type Seq struct {
-	Seq int64
-}
+// Int is a body that is one integer, named by its topic: a quorum access
+// request or acknowledgment carrying only its invocation's sequence number
+// (the generalized CLOCK_REQ, the classical GET_REQ and SET_RESP), a
+// checkpoint announcement (its frontier), a lease visibility ask (the slot
+// to cover) or its ack (the slot covered).
+type Int int64
 
-func (m Seq) AppendWire(b []byte) []byte { return AppendVarint(b, m.Seq) }
+func (m Int) AppendWire(b []byte) []byte { return AppendVarint(b, int64(m)) }
 
-func (m *Seq) DecodeWire(b []byte) error {
+func (m *Int) DecodeWire(b []byte) error {
 	r := NewReader(b)
-	m.Seq = r.Varint()
+	*m = Int(r.Varint())
 	return r.Done()
 }
 
@@ -195,21 +195,6 @@ func (m StateClock) AppendWire(b []byte) []byte {
 func (m *StateClock) DecodeWire(b []byte) error {
 	r := NewReader(b)
 	m.State, m.Clock = r.Bytes(), r.Varint()
-	return r.Done()
-}
-
-// Slot is a message about one log position: a checkpoint announcement (its
-// frontier), a lease visibility ask (the slot to cover) or its ack (the
-// slot covered).
-type Slot struct {
-	Slot int64
-}
-
-func (m Slot) AppendWire(b []byte) []byte { return AppendVarint(b, m.Slot) }
-
-func (m *Slot) DecodeWire(b []byte) error {
-	r := NewReader(b)
-	m.Slot = r.Varint()
 	return r.Done()
 }
 

@@ -66,11 +66,10 @@ var bodyTypes = []func() codec{
 	func() codec { return new(Decision) },
 	func() codec { return new(Props) },
 	func() codec { return new(Clocks) },
-	func() codec { return new(Seq) },
+	func() codec { return new(Int) },
 	func() codec { return new(SeqClock) },
 	func() codec { return new(SeqData) },
 	func() codec { return new(StateClock) },
-	func() codec { return new(Slot) },
 	func() codec { return new(Fwd) },
 	func() codec { return new(Idle1B) },
 	func() codec { return new(Decs) },
@@ -99,11 +98,11 @@ func envelopeShapes() []envelopeShape {
 		{"dec", "kv/slot17/dec", &Decision{Val: batch}},
 		{"idle1b", "kv/idle1b", &Idle1B{View: 9, Ranges: [][2]int64{{0, 17}, {18, math.MaxInt64}}}},
 		{"decs", "kv/decs", &Decs{{Slot: 3, Val: batch}, {Slot: 4, Val: "x"}}},
-		{"ckpt", "kv/ckpt", &Slot{Slot: 4096}},
+		{"ckpt", "kv/ckpt", ptr(Int(4096))},
 		{"snap", "kv/snap", &Snap{Frontier: 64, State: ckpt, Decs: Decs{{Slot: 64, Val: batch}},
 			Applied: map[uint64]*OriginSeqs{2: {Low: 40, Above: []uint64{42}, Last: []SeqPos{{Seq: 42, Slot: 63, Index: 5}}}, 0: {Low: 7}}}},
 		{"fwd", "kv/fwd", &Fwd{View: 9, Subs: []string{EncodeBatch(SubBatch{Origin: 1, Seq: 7, Cmds: []string{kvCmd("k", "v")}})}}},
-		{"clock-req", "reg7/clock_req", &Seq{Seq: 42}},
+		{"clock-req", "reg7/clock_req", ptr(Int(42))},
 		{"clock-resp", "reg7/clock_resp", &SeqClock{Seq: 42, Clock: 99}},
 		{"get-resp", "reg7/get_resp", &StateClock{State: regState("v", 3, 1), Clock: 99}},
 		{"set-req", "reg7/set_req", &SeqData{Seq: 43, Data: regState("w", 4, 1)}},
@@ -112,9 +111,9 @@ func envelopeShapes() []envelopeShape {
 		{"qaf-prop-clocks", "qaf/prop", &Props{{Name: "reg0", Clock: 1 << 50, V: 3}, {Name: "reg1", Clock: 1 << 50, V: -1}}},
 		{"qaf-ack", "qaf/ack", &Clocks{{Name: "reg0", Clock: 7}, {Name: "reg1", Clock: 8}}},
 		{"qaf-nudge", "qaf/nudge", &Clocks{{Name: "reg0", Clock: 1 << 50}}},
-		{"lease-ask", "lease/ask", &Slot{Slot: 77}},
+		{"lease-ask", "lease/ask", ptr(Int(77))},
 		{"empty-lists", "t", &Props{}},
-		{"empty-topic", "", &Slot{Slot: 1}},
+		{"empty-topic", "", ptr(Int(1))},
 	}
 }
 

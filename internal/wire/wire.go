@@ -271,22 +271,23 @@ func IsCheckpoint(v string) bool {
 	return len(v) >= len(checkpointMagic) && v[:len(checkpointMagic)] == checkpointMagic
 }
 
-// DecodeCheckpoint unpacks a checkpoint value. The state's keys and values
-// share one copy of v, not v itself: v usually sits inside a larger
-// snapshot-install message the restored state must not keep alive.
+// DecodeCheckpoint unpacks a checkpoint value. Each key, value and the meta
+// entry is its own copy: v usually sits inside a larger snapshot-install
+// message, and a restored key that is never overwritten must not keep that
+// message, or the rest of the checkpoint, alive.
 func DecodeCheckpoint(v string) (Checkpoint, error) {
 	if !IsCheckpoint(v) {
 		return Checkpoint{}, fmt.Errorf("not a checkpoint value (missing marker)")
 	}
-	r := NewReader(strings.Clone(v[len(checkpointMagic):]))
+	r := NewReader(v[len(checkpointMagic):])
 	c := Checkpoint{Frontier: r.Varint()}
 	n := r.Count(2)
 	c.State = make(map[string]string, n)
 	for range n {
-		k := r.String()
-		c.State[k] = r.String()
+		k := strings.Clone(r.String())
+		c.State[k] = strings.Clone(r.String())
 	}
-	c.MetaSlot, c.Meta = r.Varint(), r.String()
+	c.MetaSlot, c.Meta = r.Varint(), strings.Clone(r.String())
 	if err := r.Done(); err != nil {
 		return Checkpoint{}, fmt.Errorf("decode checkpoint: %w", err)
 	}

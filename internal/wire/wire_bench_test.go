@@ -125,7 +125,7 @@ var decodeRungs = []struct {
 }{
 	{"2b-batch64", func() Decoder { return new(Accept) }},
 	{"dec", func() Decoder { return new(Decision) }},
-	{"ckpt", func() Decoder { return new(Slot) }},
+	{"ckpt", func() Decoder { return new(Int) }},
 	{"qaf-prop", func() Decoder { return new(Props) }},
 }
 

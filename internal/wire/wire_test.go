@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 type body struct {
@@ -174,6 +175,21 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	got, err := DecodeCheckpoint(v)
 	if err != nil || !reflect.DeepEqual(got, c) {
 		t.Fatalf("decoded %+v, %v; want %+v", got, err, c)
+	}
+	// No restored string aliases the checkpoint value: a key that is never
+	// overwritten must not keep the install it came in alive.
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(v)))
+	within := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && p >= lo && p < lo+uintptr(len(v))
+	}
+	for k, val := range got.State {
+		if within(k) || within(val) {
+			t.Errorf("restored pair %q=%q aliases the checkpoint value", k, val)
+		}
+	}
+	if within(got.Meta) {
+		t.Error("restored meta entry aliases the checkpoint value")
 	}
 	for i := 0; i < 5; i++ {
 		if again, _ := EncodeCheckpoint(c); again != v {
