@@ -142,8 +142,8 @@ type (
 	Consensus = consensus.Consensus
 	// ConsensusOptions configures a consensus endpoint.
 	ConsensusOptions = consensus.Options
-	// ReplicatedLog is a multi-slot replicated command log (SMR) built from
-	// one consensus instance per slot.
+	// ReplicatedLog is a multi-slot replicated command log (SMR) built on
+	// one consensus engine that decides every slot.
 	ReplicatedLog = smr.Log
 	// ReplicatedLogOptions configures a replicated log endpoint.
 	ReplicatedLogOptions = smr.Options

@@ -113,16 +113,17 @@ func WithViewC(d time.Duration) Option {
 // WithSlots sets the slot window of replicated logs (and the KV stores
 // above them) provisioned by this cluster: the slots live at once, not a
 // lifetime budget — the window slides as checkpoints retire the decided
-// prefix (WithCompaction). Each live slot is a consensus instance at every
-// process (see the smr package comment); idle slots batch their view
-// participation, so the window costs memory, not steady-state traffic.
+// prefix (WithCompaction). Every process runs every live slot (see the smr
+// package comment), but an unused slot holds no state and shares one
+// default 1B per process per view, so the window costs neither memory nor
+// steady-state traffic.
 func WithSlots(n int) Option {
 	return func(c *config) { c.slots = n }
 }
 
 // WithBatch tunes group commit, the only append path of the replicated
 // logs (and KV stores) provisioned by this cluster: commands arriving
-// within window coalesce into one consensus instance carrying up to maxOps
+// within window coalesce into one slot's value carrying up to maxOps
 // commands, amortizing the round trip over the batch. Zero takes the smr
 // default for either (no window, 64 commands); maxOps 1 gives every
 // command its own slot. See smr.BatchOptions and WithPipeline.
@@ -474,8 +475,8 @@ func (c *Cluster) healthyProcs() []int {
 // provision returns the existing object under (kind, name) or creates one
 // with mk. Concurrent provisioning of the same name yields the same client
 // (no double-provision race), yet mk runs outside the registry lock so
-// building a heavy object (a log pre-creates slots×processes consensus
-// instances) does not stall routing, injection or other provisioning.
+// building an object (a log's or a shard group's endpoints at every
+// process) does not stall routing, injection or other provisioning.
 func (c *Cluster) provision(kind, name string, mk func() Object) (Object, error) {
 	key := objKey{kind, name}
 	c.mu.Lock()

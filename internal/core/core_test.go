@@ -499,7 +499,7 @@ func TestPolicyChurnUnderLoad(t *testing.T) {
 // TestBatchedKVLincheck drives concurrent clients against a cluster with
 // group-commit batching and pipelined appends enabled, then checks per-key
 // linearizability of the recorded history: CheckKVHistory must hold when
-// many Sets share one consensus instance and consecutive batches' rounds
+// many Sets share one slot's consensus and consecutive batches' rounds
 // overlap. SyncGets interleave so the check also covers the barrier's
 // freshness argument under prefix holes (batch completion gates on the
 // local decided prefix).

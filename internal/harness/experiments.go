@@ -641,6 +641,6 @@ func e16ReplicatedKV(ctx context.Context, cfg Config) (*Table, error) {
 		t.AddRow(sc.name, sc.writers, ms(commit), ms(read), "yes")
 	}
 	t.AddNote("Each write is one consensus slot; the barrier read is linearizable (commits a no-op before reading the decided prefix).")
-	t.AddNote("Latency grows for later slots: the paper's communication-free synchronizer makes view v last v*C, so slot instances idle since startup are already in long views when first used, and under f1 only every other leader is in U_f. This is the cost of Prop 2's simplicity, not of the GQS quorums.")
+	t.AddNote("Latency grows for later slots: the paper's communication-free synchronizer makes view v last v*C, so slots idle since startup are already in long views when first used, and under f1 only every other leader is in U_f. This is the cost of Prop 2's simplicity, not of the GQS quorums.")
 	return t, nil
 }

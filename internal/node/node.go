@@ -9,10 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/failure"
@@ -26,14 +23,9 @@ var ErrStopped = errors.New("node stopped")
 // Handler processes a protocol message on the node's event loop.
 type Handler func(from failure.Proc, m wire.Message)
 
-// The handler registry keeps dispatch lock-free while making installs O(1):
-// exact-topic handlers live in a sync.Map (read-mostly after startup, so
-// lookups hit its immutable read map — one atomic load plus a hash probe),
-// and the few prefix handlers are published copy-on-write through an atomic
-// pointer. The previous design copied the whole exact map on every install,
-// which made registering the 4 topics of each of a log's S pre-created
-// consensus instances O(S^2) — multi-second startup stalls at S >= 768 that
-// desynchronized the per-log view clocks across processes.
+// The handler registry is a sync.Map: installs are O(1) and dispatch is
+// lock-free, since after startup lookups hit its immutable read map — one
+// atomic load plus a hash probe.
 
 // Node is a single process: an unbounded mailbox drained by one event-loop
 // goroutine, a topic-based handler registry, and tracked periodic tasks.
@@ -43,7 +35,7 @@ type Node struct {
 	net transport.Network
 
 	// mu guards only the mailbox ring; the handler registry is lock-free on
-	// the read side (exact is a sync.Map, prefixes an atomic pointer).
+	// the read side.
 	mu      sync.Mutex
 	ring    []func() // circular mailbox buffer
 	head    int      // index of the oldest queued entry
@@ -51,9 +43,7 @@ type Node struct {
 	cond    *sync.Cond
 	stopped bool
 
-	regMu    sync.Mutex // serializes prefix-handler writers
-	exact    sync.Map   // topic string -> Handler
-	prefixes atomic.Pointer[[]prefixHandler]
+	handlers sync.Map // topic string -> Handler
 
 	done    chan struct{}
 	tickers sync.WaitGroup
@@ -71,7 +61,6 @@ func New(id failure.Proc, net transport.Network) *Node {
 		done:   make(chan struct{}),
 		stopCh: make(chan struct{}),
 	}
-	n.prefixes.Store(&[]prefixHandler{})
 	n.cond = sync.NewCond(&n.mu)
 	net.Register(id, n.onMessage)
 	go n.loop()
@@ -85,67 +74,24 @@ func (n *Node) ID() failure.Proc { return n.id }
 func (n *Node) ClusterSize() int { return n.n }
 
 // Handle installs the handler for a message topic. It may be called at any
-// time, including from the event loop, and costs O(1) — endpoints that
-// pre-create thousands of protocol instances (a replicated log's slots)
-// register their topics without quadratic startup stalls.
+// time, including from the event loop, and costs O(1).
 func (n *Node) Handle(topic string, h Handler) {
-	n.exact.Store(topic, h)
+	n.handlers.Store(topic, h)
 }
 
-// Unhandle removes the exact handler for a topic. Like Handle it may be
-// called at any time, including from the event loop, and costs O(1) —
-// endpoints that truncate thousands of protocol instances (a compacting
-// replicated log's freed slots) release their registry entries without
-// stalls. Messages for the topic fall back to prefix handlers, or are
-// dropped.
+// Unhandle removes the handler for a topic. Like Handle it may be called at
+// any time, including from the event loop, and costs O(1). Messages for the
+// topic are dropped from then on.
 func (n *Node) Unhandle(topic string) {
-	n.exact.Delete(topic)
+	n.handlers.Delete(topic)
 }
 
-type prefixHandler struct {
-	prefix string
-	h      Handler
-}
-
-// HandlePrefix installs a fallback handler for every topic beginning with
-// prefix that has no exact handler. It enables components that create
-// sub-handlers on demand (e.g. a replicated log creating one consensus
-// instance per slot when the first message for that slot arrives). The
-// longest matching prefix wins.
-func (n *Node) HandlePrefix(prefix string, h Handler) {
-	n.regMu.Lock()
-	defer n.regMu.Unlock()
-	old := *n.prefixes.Load()
-	prefixes := make([]prefixHandler, 0, len(old)+1)
-	prefixes = append(prefixes, old...)
-	prefixes = append(prefixes, prefixHandler{prefix: prefix, h: h})
-	sort.SliceStable(prefixes, func(i, j int) bool {
-		return len(prefixes[i].prefix) > len(prefixes[j].prefix)
-	})
-	n.prefixes.Store(&prefixes)
-}
-
-// lookup resolves the handler for a topic: exact match first, then the
-// longest matching prefix. Lock-free.
+// lookup resolves the handler for a topic. Lock-free.
 func (n *Node) lookup(topic string) Handler {
-	if h, ok := n.exact.Load(topic); ok {
+	if h, ok := n.handlers.Load(topic); ok {
 		return h.(Handler)
 	}
-	for _, ph := range *n.prefixes.Load() {
-		if strings.HasPrefix(topic, ph.prefix) {
-			return ph.h
-		}
-	}
 	return nil
-}
-
-// Redeliver dispatches a message to the exact handler for its topic, if one
-// is now installed. It must be called from the event loop (typically by a
-// prefix handler after creating the exact handler).
-func (n *Node) Redeliver(from failure.Proc, m wire.Message) {
-	if h, ok := n.exact.Load(m.Topic); ok {
-		h.(Handler)(from, m)
-	}
 }
 
 // onMessage is the transport callback: enqueue dispatch work, never block.

@@ -2,7 +2,6 @@ package smr
 
 import (
 	"cmp"
-	"context"
 	"slices"
 	"sync"
 	"time"
@@ -16,8 +15,8 @@ import (
 // Group commit with a single proposer per view, the log's only append path.
 // Commands arriving while a cut is forming (or until a count/byte cap) are
 // cut into a sub-batch, and the view's leader packs the sub-batches of
-// every process into one slot value that a single consensus instance
-// decides, amortizing the round trip over every command in it. MaxOps 1
+// every process into one slot value that a single consensus decision
+// covers, amortizing the round trip over every command in it. MaxOps 1
 // gives each command its own slot.
 //
 // Figure 6's consensus is leader-driven, so only the leader of this
@@ -168,8 +167,6 @@ type batcher struct {
 
 	inflight chan struct{} // semaphore: this process's unapplied sub-batches
 	wg       sync.WaitGroup
-	ctx      context.Context // canceled on Stop, releasing stuck proposals
-	cancel   context.CancelFunc
 
 	// Loop-confined. out holds this process's sub-batches not yet applied,
 	// by seq. queue holds the sub-batches waiting here for a slot claim,
@@ -192,14 +189,11 @@ type batcher struct {
 }
 
 func newBatcher(l *Log, opts BatchOptions) *batcher {
-	ctx, cancel := context.WithCancel(context.Background()) //lint:allow ctxflow batcher-lifetime root; Log.Stop cancels it to release stuck proposals
 	opts = opts.withDefaults()
 	return &batcher{
 		l:        l,
 		opts:     opts,
 		inflight: make(chan struct{}, opts.Pipeline),
-		ctx:      ctx,
-		cancel:   cancel,
 		out:      make(map[uint64]*subBatch),
 		queued:   make(map[subKey]struct{}),
 	}
@@ -372,7 +366,7 @@ func (b *batcher) finish(sb *subBatch, res AppendResult) {
 
 // drainAndClose flushes the buffer, waits (bounded) for this process's
 // sub-batches to be applied, and rejects subsequent enqueues. Called from
-// Log.Stop before the slot instances stop, so buffered commands get their
+// Log.Stop before the consensus engine stops, so buffered commands get their
 // commit attempt; Stop fails whatever is still unapplied.
 func (b *batcher) drainAndClose(wait time.Duration) {
 	b.mu.Lock()
@@ -403,10 +397,9 @@ func (b *batcher) drainAndClose(wait time.Duration) {
 	select {
 	case <-done:
 	case <-b.opts.Clock.After(wait):
-		// A sub-batch that cannot commit (no quorum) must not wedge Stop;
-		// cancel the claims and let Stop fail what is left.
+		// A sub-batch that cannot commit (no quorum) must not wedge Stop,
+		// which fails what is left; stopping the engine releases the claims.
 	}
-	b.cancel()
 }
 
 // leads reports whether this process leads view v (view 0, before the
@@ -527,12 +520,11 @@ func (l *Log) pump() {
 		if b.next < l.next {
 			b.next = l.next
 		}
-		if _, ok := l.decided[b.next]; ok {
+		if _, ok := l.eng.Decision(b.next); ok {
 			b.next++
 			continue
 		}
-		inst := l.slotAt(b.next)
-		if inst == nil {
+		if b.next >= l.eng.End() {
 			return
 		}
 		var (
@@ -563,14 +555,11 @@ func (l *Log) pump() {
 			continue
 		}
 		val := wire.JoinBatches(vals)
+		l.eng.Submit(b.next, val, func(v string, err error) { l.claimDone(val, v, err, take) })
 		b.next++
 		b.claims++
 		b.claimed++
 		l.noteOccupancy()
-		go func() {
-			v, err := inst.Propose(b.ctx, val)
-			l.n.Do(func() { l.claimDone(val, v, err, take) })
-		}()
 	}
 }
 

@@ -36,7 +36,7 @@ func newBatchedCluster(t *testing.T, slots int, bo BatchOptions) *smrCluster {
 }
 
 // TestBatchWindowCoalesces: commands arriving within the window share one
-// slot (one consensus instance decided them all) and complete with their
+// slot (one consensus decision covered them all) and complete with their
 // in-batch indices.
 func TestBatchWindowCoalesces(t *testing.T) {
 	c := newBatchedCluster(t, 8, BatchOptions{Window: 250 * time.Millisecond, MaxOps: 16})
@@ -186,7 +186,7 @@ func TestBatchPipelineDistinctSlots(t *testing.T) {
 			// Slots below the live base are decided by construction:
 			// truncation never passes the decided prefix.
 			for s := c.logs[0].base; s <= r.Slot; s++ {
-				if _, ok := c.logs[0].decided[s]; !ok {
+				if _, ok := c.logs[0].eng.Decision(s); !ok {
 					hole = s
 					break
 				}

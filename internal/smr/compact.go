@@ -7,37 +7,35 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/consensus"
 	"repro/internal/failure"
 	"repro/internal/wire"
 )
 
 // Checkpointed log compaction, the only way a log runs. The slot space is
-// a sliding window: logical slot numbers are unbounded and never reused
-// (slot topics never alias), while live consensus instances exist only for
-// [base, base+window). Each process checkpoints its derived
-// state every Interval decided slots and announces the checkpoint frontier;
-// the window extends past every announced frontier (so proposals never run
-// out of slots), and the prefix below the LOWEST frontier announced by all
-// processes is truncated — its instances stopped and unregistered, its
-// decided values dropped, its memory freed. A peer that stops announcing is
-// timed out (AckTimeout): truncation proceeds without it, and when the peer
-// reappears still running slots below the live base, it is healed with a
-// snapshot-install — the latest checkpoint plus the decided suffix — in
-// O(state) instead of the O(history) decs replay.
+// a sliding window: logical slot numbers are unbounded and never reused,
+// while the consensus engine runs only [base, base+window). Each process
+// checkpoints its derived state every Interval decided slots and announces
+// the checkpoint frontier; the window extends past every announced frontier
+// (so proposals never run out of slots), and the prefix below the LOWEST
+// frontier announced by all processes is truncated — its slots retired in
+// the engine, its memory freed. A peer that stops announcing is timed out
+// (AckTimeout): truncation proceeds without it, and when the peer reappears
+// still running slots below the live base, it is healed with a
+// snapshot-install — the latest checkpoint plus the decided suffix — since
+// the truncated decisions that would have caught it up are gone.
 //
 // Safety: a process only proposes into slots beyond its original window
 // after a window extension, and extensions are driven by checkpoint
 // announcements, so any process that contributed the enabling announcement
-// has already created those instances. A process that missed the
-// announcements (crashed, partitioned away) simply cannot participate in
-// the new slots until it heals; the install hands it the whole gated prefix
-// at once, which is exactly the invariant the Sync barrier and the lease
-// freshness argument rest on — an installed checkpoint covers every slot an
-// append completion was gated on. Under purely unidirectional connectivity
-// a process that cannot receive checkpoint announcements keeps its current
-// window (the paper's pre-creation argument holds within it) and heals by
-// install once connectivity returns.
+// runs those slots already. A process that missed the announcements
+// (crashed, partitioned away) simply cannot participate in the new slots
+// until it heals; the install hands it the whole gated prefix at once,
+// which is exactly the invariant the Sync barrier and the lease freshness
+// argument rest on — an installed checkpoint covers every slot an append
+// completion was gated on. Under purely unidirectional connectivity a
+// process that cannot receive checkpoint announcements keeps its current
+// window (the paper's run-from-startup argument holds within it) and heals
+// by install once connectivity returns.
 
 // DefaultAckTimeout bounds how long truncation waits for a lagging peer's
 // checkpoint announcement before treating it as failed.
@@ -142,51 +140,22 @@ func (kv *KV) CompactionMetrics() CompactionMetrics { return kv.log.CompactionMe
 // table of applied sub-batches at the same frontier (so the receiver skips
 // the same duplicates), plus its decided suffix at and above it.
 
-// makeSlot creates the consensus instance of one logical slot. Safe on the
-// node loop (window extension creates instances mid-run).
-func (l *Log) makeSlot(slot int64) *consensus.Consensus {
-	return consensus.New(l.n, consensus.Options{
-		Name:  fmt.Sprintf("%s/slot%d", l.name, slot),
-		Reads: l.reads, Writes: l.writes, C: l.viewC,
-		NoSync: true,
-		// Runs on the node loop as soon as this process learns the slot's
-		// decision.
-		OnDecide: func(v string) { l.recordDecision(slot, v) },
-		// Runs on the node loop the first time the slot leaves its virgin
-		// state, before the triggering event is processed.
-		OnActive: func() { l.onSlotActive(slot) },
-	})
-}
-
-// slotAt returns the live consensus instance of a logical slot, or nil when
-// the slot is below the live window (truncated) or at or beyond its end.
-// Runs on the node loop.
-func (l *Log) slotAt(slot int64) *consensus.Consensus {
-	if slot < l.base || slot >= l.base+int64(len(l.slots)) {
-		return nil
-	}
-	return l.slots[slot-l.base]
-}
-
-// extendWindow grows the live window until it ends at to, creating the new
-// slots' consensus instances and resuming claims parked on the old end. New
-// instances are virgin: the next stepView covers them with its tail range,
-// exactly like startup. Runs on the node loop.
+// extendWindow grows the live window until it ends at to and resumes
+// claims parked on the old end. The new slots are virgin: this view's 1Bs
+// cover them already with their open tail, exactly like startup. Runs on
+// the node loop.
 func (l *Log) extendWindow(to int64) {
-	end := l.base + int64(len(l.slots))
-	if to <= end {
+	if to <= l.eng.End() {
 		return
 	}
-	for s := end; s < to; s++ {
-		l.slots = append(l.slots, l.makeSlot(s))
-	}
+	l.eng.Extend(to)
 	l.pump() // claims parked on the old end
 }
 
 // noteOccupancy records the live window usage high-water mark. Runs on the
 // node loop.
 func (l *Log) noteOccupancy() {
-	hi := l.frontier + 1
+	hi := l.eng.Used()
 	if l.batch.next > hi {
 		hi = l.batch.next
 	}
@@ -277,11 +246,10 @@ func (l *Log) scheduleAckTimeout(f int64) {
 	})
 }
 
-// truncateTo frees slots below t: stops and unregisters their consensus
-// instances, drops their decided values and waiters, and advances the live
-// base. t never exceeds this process's own checkpoint frontier or decided
-// prefix, so everything freed is already folded into the applied state.
-// Runs on the node loop.
+// truncateTo frees slots below t: retires them in the engine, fails their
+// waiters, and advances the live base. t never exceeds this process's own
+// checkpoint frontier or decided prefix, so everything freed is already
+// folded into the applied state. Runs on the node loop.
 func (l *Log) truncateTo(t int64) {
 	if t > l.lastCkpt {
 		t = l.lastCkpt
@@ -293,13 +261,8 @@ func (l *Log) truncateTo(t int64) {
 		return
 	}
 	n := t - l.base
-	for i := int64(0); i < n; i++ {
-		l.slots[i].Stop()
-	}
-	// Reallocate so the freed instances' backing array entries are released.
-	l.slots = append(make([]*consensus.Consensus, 0, len(l.slots)-int(n)), l.slots[n:]...)
+	l.eng.Truncate(t)
 	for s := l.base; s < t; s++ {
-		delete(l.decided, s)
 		delete(l.skipped, s)
 		for _, ch := range l.waiters[s] {
 			close(ch) // a Get parked on a truncated slot fails
@@ -332,10 +295,10 @@ func (l *Log) sendInstall(to failure.Proc, view int64) {
 		state = s
 	}
 	l.installView[to] = view
-	decs := make(wire.Decs, 0, len(l.decided))
-	for s, v := range l.decided {
-		if s >= l.next {
-			decs = append(decs, wire.DecEntry{Slot: s, Val: v})
+	var decs wire.Decs
+	for s := l.next; s < l.eng.Used(); s++ {
+		if v, ok := l.eng.Decision(s); ok {
+			decs = append(decs, wire.Decision{Slot: s, Val: v})
 		}
 	}
 	l.n.Send(to, l.topicSnap, wire.Snap{Frontier: l.next, State: state, Decs: decs, Applied: l.appliedSubs})
@@ -364,9 +327,6 @@ func (l *Log) onSnap(from failure.Proc, m wire.Message) {
 		l.extendWindow(s.Frontier + l.window)
 		l.next = s.Frontier
 		l.adoptApplied(s.Applied)
-		if s.Frontier-1 > l.frontier {
-			l.frontier = s.Frontier - 1
-		}
 		l.lastCkpt = s.Frontier
 		if s.Frontier > l.ackFrontier[l.n.ID()] {
 			l.ackFrontier[l.n.ID()] = s.Frontier
@@ -384,12 +344,8 @@ func (l *Log) onSnap(from failure.Proc, m wire.Message) {
 	// copied out of the install, which also carries the whole serialized
 	// state: a learned slot must not keep that alive until it is truncated.
 	for _, d := range s.Decs {
-		if d.Slot >= l.base+int64(len(l.slots)) {
-			l.extendWindow(d.Slot + 1)
-		}
-		if inst := l.slotAt(d.Slot); inst != nil {
-			inst.Learn(strings.Clone(d.Val))
-		}
+		l.extendWindow(d.Slot + 1)
+		l.eng.Learn(d.Slot, strings.Clone(d.Val))
 	}
 }
 

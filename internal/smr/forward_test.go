@@ -19,18 +19,7 @@ import (
 // way a leader's claim does, and returns the decided value.
 func proposeAt(t *testing.T, ctx context.Context, l *Log, slot int64, val string) string {
 	t.Helper()
-	var inst interface {
-		Propose(context.Context, string) (string, error)
-	}
-	l.n.Call(func() {
-		if s := l.slotAt(slot); s != nil {
-			inst = s
-		}
-	})
-	if inst == nil {
-		t.Fatalf("slot %d is outside the live window", slot)
-	}
-	v, err := inst.Propose(ctx, val)
+	v, err := l.eng.Propose(ctx, slot, val)
 	if err != nil {
 		t.Fatalf("propose slot %d: %v", slot, err)
 	}

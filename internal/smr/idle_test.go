@@ -29,9 +29,10 @@ func newSMRClusterSlots(t *testing.T, slots int) *smrCluster {
 }
 
 // TestIdleLogViewTraffic: an idle log must not emit one message per slot
-// per view entry. With activity-gated view participation, each process
-// sends a single batched default-1B message per view — the seed sent
-// `slots` messages (64 here), which is what capped log capacity.
+// per view entry, nor hold state per slot. Each process sends one 1B per
+// view, whose default run covers the whole idle window — the seed sent
+// `slots` messages (64 here), which is what capped log capacity — and the
+// engine materializes no slot until something happens in it.
 func TestIdleLogViewTraffic(t *testing.T) {
 	c := newSMRClusterSlots(t, 64)
 	defer c.stop()
@@ -50,6 +51,13 @@ func TestIdleLogViewTraffic(t *testing.T) {
 	const limit = 120
 	if sent > limit {
 		t.Fatalf("idle log sent %d messages in 600ms (want <= %d: one batch per process per view, not one per slot)", sent, limit)
+	}
+	for p, l := range c.logs {
+		var view, used int64
+		c.nodes[p].Call(func() { view, used = l.view, l.eng.Used()-l.base })
+		if view < 2 || used != 0 {
+			t.Fatalf("idle p%d in view %d holds state for %d slots, want none", p, view, used)
+		}
 	}
 }
 

@@ -1,38 +1,38 @@
 // Package smr implements state machine replication on top of the paper's
 // generalized-quorum-system consensus: a replicated log in which each slot
-// is decided by one Figure-6 consensus instance. It is the standard
-// application layer above single-shot consensus and demonstrates that the
-// paper's weak-connectivity bound carries to full replicated services:
-// commands submitted at U_f members commit despite asymmetric channel
-// failures.
+// is one Figure-6 consensus decision, all of them run by one engine. It is
+// the standard application layer above single-shot consensus and
+// demonstrates that the paper's weak-connectivity bound carries to full
+// replicated services: commands submitted at U_f members commit despite
+// asymmetric channel failures.
 //
-// Slot instances are created for the whole slot window upfront, at every
-// process, when the log endpoint starts. This is not an implementation
-// convenience but a requirement of the paper's model: under
-// a pattern like Figure 1's f1, a read-quorum member (process c) may have
-// NO incoming connectivity at all, so it can never learn about lazily
-// created protocol instances — it can only participate in protocols it
-// starts spontaneously. The paper's algorithms assume every correct process
-// runs the algorithm from startup; the pre-created window realizes exactly
-// that per slot. The window slides (compact.go): checkpoints retire the
+// Every process runs every slot of the window from startup, without
+// creating anything per slot. This is not an implementation convenience but
+// a requirement of the paper's model: under a pattern like Figure 1's f1, a
+// read-quorum member (process c) may have NO incoming connectivity at all,
+// so it can never learn that a slot is in use — it can only take part in
+// protocols it runs spontaneously. The paper's algorithms assume every
+// correct process runs the algorithm from startup. The log's consensus
+// engine (internal/consensus) meets that per slot with its view-entry 1B:
+// every slot in which a process has seen nothing is virgin, its 1B is the
+// default one (no accepted value, no proposal), and each view's 1B sends it
+// for the whole virgin tail as the open run [first virgin slot, ∞), which
+// also covers slots the sliding window creates mid-view. A virgin slot's
+// state is created on its first proposal, message or decision, straight in
+// the current view, so it can never accept a 2A from a view below one its
+// default 1B answered for; an idle window costs neither memory nor
+// per-view work. Apart from sharing the view's 1B, each slot runs Figure 6
+// on its own — its 2A and 2B to all, its decision to the peers, its late
+// messages answered as in the single-shot protocol — so the paper's safety
+// argument holds slot by slot. The window slides (compact.go): checkpoints retire the
 // decided prefix and extend the window past it, so the log has no lifetime
 // write budget.
-//
-// Idle slots answer each view with one batched default 1B per process, and
-// the virgin tail is sent as the open range [frontier+1, ∞), so it also
-// covers slots the sliding window creates mid-view. This is safe: a default
-// 1B (aview 0, no value) is exactly what an instance that has accepted
-// nothing would answer, and every slot above the sender's frontier is in
-// that state, created yet or not. A slot activated later is moved straight
-// into the current view (onSlotActive) before it handles anything, so it
-// can never accept a 2A from a view below one it has answered for.
 //
 // Every append goes through group commit (Options.Batch tunes it): commands
 // are cut into sub-batches numbered (origin, seq), every process forwards
 // its sub-batches to the leader of its current view, and the leader — the
-// only process that claims slots — packs them into one value per slot that
-// a single consensus instance decides, with up to a configurable number of
-// slots in flight (see batch.go). Every decided value is therefore a batch
+// only process that claims slots — packs them into one value per slot,
+// with up to a configurable number of slots in flight (see batch.go). Every decided value is therefore a batch
 // value; SlotCommands expands it. A sub-batch re-sent after a view change
 // may commit twice; the later copy is skipped at apply, identically at every
 // replica, so commands need not be unique. Consensus value semantics are
@@ -51,7 +51,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -73,23 +72,22 @@ var ErrCompacted = errors.New("slot compacted (folded into a checkpoint)")
 // DefaultSlots is the default slot-window size. A slot carries a whole
 // group commit (up to BatchOptions.MaxOps commands), and the window slides
 // as checkpoints retire the decided prefix, so it bounds the slots in use
-// at once, not the log's lifetime — each slot is a pre-created consensus
-// instance at every process (see the package comment). Idle slots batch
-// their view participation into one message per process per view, so
-// capacity costs memory, not steady-state traffic.
+// at once, not the log's lifetime. Unused slots hold no state and share one
+// default-1B run per process per view (see the package comment), so
+// capacity costs neither memory nor steady-state traffic.
 const DefaultSlots = 128
 
 // Options configures a log endpoint.
 type Options struct {
 	// Name scopes wire topics. Defaults to "smr".
 	Name string
-	// Slots is the slot-window size (number of live consensus instances;
-	// the window slides, see Compaction). Defaults to DefaultSlots. All
+	// Slots is the slot-window size (number of live consensus slots; the
+	// window slides, see Compaction). Defaults to DefaultSlots. All
 	// processes of one log must agree on it.
 	Slots int
 	// Reads and Writes are the GQS quorum families.
 	Reads, Writes []graph.BitSet
-	// ViewC is the per-slot consensus view-duration constant.
+	// ViewC is the consensus view-duration constant: view v lasts v*ViewC.
 	ViewC time.Duration
 	// Batch tunes group commit and pipelined appends, the one append path.
 	// The zero value takes the defaults (see BatchOptions).
@@ -117,37 +115,20 @@ type Options struct {
 	Snapshotter Snapshotter
 }
 
-// Wire bodies: a wire.Idle1B batches the default 1B messages of every idle
-// slot at one process for one view entry into a single message to the
-// view's leader. Its ranges are [lo, hi) slot intervals; idle slots are
-// overwhelmingly the contiguous unused tail of the log, so the encoding is
-// a handful of bytes regardless of capacity. A wire.Decs carries decided
-// slots' values to a process still running them (partition heal, late
-// catch-up).
-
 // Log is one process's endpoint of the replicated command log.
 type Log struct {
 	n *node.Node
-	// slots holds the live window's consensus instances: slots[i] is
-	// logical slot base+i. Extension appends and truncation drops from the
-	// front. Loop-confined, New included (Stop reads it only after the loop
-	// has observed stopped).
-	slots []*consensus.Consensus
-	sync  *viewsync.Synchronizer
+	// eng decides the log's slots: one consensus engine for the whole
+	// window, driven by the log's view synchronizer.
+	eng  *consensus.Engine
+	sync *viewsync.Synchronizer
 
-	// Immutable after New: consensus parameters for window extension's
-	// instance creation, and the configured window size.
-	name   string
-	reads  []graph.BitSet
-	writes []graph.BitSet
-	viewC  time.Duration
+	// window is the configured window size, immutable after New.
 	window int64
 
-	topicIdle1B string
-	topicDecs   string
-	topicCkpt   string
-	topicSnap   string
-	topicFwd    string
+	topicCkpt string
+	topicSnap string
+	topicFwd  string
 
 	// batch is the group-commit append buffer.
 	batch *batcher
@@ -177,28 +158,15 @@ type Log struct {
 	// the write, the invariant leased local reads rest on.
 	gate atomic.Pointer[func(slot int64)]
 
-	// Loop-confined state.
-	decided map[int64]string
+	// Loop-confined state. Decided values live in the engine until their
+	// slots are truncated.
 	next    int64 // lowest slot this process has not observed decided
 	waiters map[int64][]chan string
 	// prefixWaiters holds WaitPrefix calls gated on the decided prefix
 	// covering their slot: key k fires when next exceeds k.
 	prefixWaiters map[int64][]chan struct{}
-	// view is the current view as driven by the shared synchronizer.
+	// view is the current view as driven by the synchronizer.
 	view int64
-	// frontier is the highest slot with any local activity (-1 when none):
-	// a local proposal, a direct protocol message, or a decision. Slots
-	// beyond it are virgin consensus instances whose per-view contribution
-	// is exactly the default 1B, so stepView covers them with one range in
-	// O(1) instead of stepping each instance — idle log capacity costs no
-	// per-view work at all.
-	frontier int64
-	// idle1Bs holds the latest batched default-1B ranges per peer. Ranges
-	// covering slots beyond the frontier are not materialized into the
-	// per-slot instances eagerly (that would be O(capacity) per view, per
-	// peer); they are replayed on demand the moment a covered slot first
-	// activates (see onSlotActive).
-	idle1Bs map[failure.Proc]wire.Idle1B
 	// appliedSubs is the table of applied sub-batches, keyed by origin (see
 	// originSeqs); skipped holds the applied value of each live slot that
 	// carried an already-applied sub-batch; firstApplied collects this
@@ -218,17 +186,14 @@ type Log struct {
 	stopped     bool
 }
 
-// New installs a replicated log endpoint on the node, starting one consensus
-// instance per slot (see the package comment for why instances must exist
-// from startup at every process).
+// New installs a replicated log endpoint on the node: one consensus engine
+// for the whole slot window and one view synchronizer driving it.
 //
-// All slots share one view synchronizer, and a slot's per-view 1B message is
-// gated on slot activity: slots with a local proposal or an accepted value
-// send their own 1B, idle slots are batched into a single default-1B message
-// per view for the whole log, and decided slots are silent (the decision was
-// announced; stragglers asking about the slot get it as a reply). The seed
-// emitted one message per slot per view entry — 128 by default — even on a
-// completely idle log.
+// A slot's per-view 1B is gated on slot activity: slots with a local
+// proposal or an accepted value list their own, the rest of the window is
+// covered by default-1B runs, all in one message per process per view, and
+// decided slots are silent (the decision was announced; stragglers asking
+// about the slot get it as a reply).
 func New(n *node.Node, opts Options) *Log {
 	if opts.Name == "" {
 		opts.Name = "smr"
@@ -241,41 +206,28 @@ func New(n *node.Node, opts Options) *Log {
 	}
 	l := &Log{
 		n:             n,
-		name:          opts.Name,
-		reads:         opts.Reads,
-		writes:        opts.Writes,
-		viewC:         opts.ViewC,
 		window:        int64(opts.Slots),
 		onCommit:      opts.OnCommit,
 		compact:       opts.Compaction.withDefaults(opts.Slots),
 		snapshotter:   opts.Snapshotter,
-		decided:       make(map[int64]string),
 		waiters:       make(map[int64][]chan string),
 		prefixWaiters: make(map[int64][]chan struct{}),
-		frontier:      -1,
-		idle1Bs:       make(map[failure.Proc]wire.Idle1B),
 		appliedSubs:   make(map[uint64]*originSeqs),
 		skipped:       make(map[int64]string),
 		ackFrontier:   make(map[failure.Proc]int64),
 		installView:   make(map[failure.Proc]int64),
-		topicIdle1B:   opts.Name + "/idle1b",
-		topicDecs:     opts.Name + "/decs",
 		topicCkpt:     opts.Name + "/ckpt",
 		topicSnap:     opts.Name + "/snap",
 		topicFwd:      opts.Name + "/fwd",
 	}
 	l.batch = newBatcher(l, opts.Batch)
-	// Each instance registers its topics as it is created, and a peer that
-	// is already running can reach slot s's handlers — which read l.slots
-	// on the loop — while later slots are still being appended. Creating
-	// the window on the loop orders every such handler after it.
-	n.Call(func() { //lint:allow ctxflow one construction-time loop hop, before the log takes traffic; Call aborts when the node stops
-		for s := 0; s < opts.Slots; s++ {
-			l.slots = append(l.slots, l.makeSlot(int64(s)))
-		}
+	l.eng = consensus.NewEngine(n, consensus.EngineOptions{
+		Name: opts.Name, Reads: opts.Reads, Writes: opts.Writes, Slots: l.window,
+		OnDecide: l.recordDecision,
+		// A peer still runs slots truncated here: heal it with a
+		// snapshot-install, since their decisions are gone.
+		OnBehind: l.sendInstall,
 	})
-	n.Handle(l.topicIdle1B, l.onIdle1B)
-	n.Handle(l.topicDecs, l.onDecs)
 	n.Handle(l.topicFwd, l.onFwd)
 	n.Handle(l.topicCkpt, l.onCkpt)
 	n.Handle(l.topicSnap, l.onSnap)
@@ -287,163 +239,16 @@ func New(n *node.Node, opts Options) *Log {
 	return l
 }
 
-// stepView enters view v at every active slot (the prefix up to the
-// frontier), batching the default 1Bs of idle slots — stepped ones with
-// nothing to say, plus the whole virgin tail as the open range
-// [frontier+1, ∞) — into one message to the view's leader, then re-routes
-// the group-commit state for the new leader. Runs on the node loop.
+// stepView enters view v at every slot (the engine sends this process's 1B
+// for it), then re-routes the group-commit state for the new leader. Runs
+// on the node loop.
 func (l *Log) stepView(v int64) {
 	if l.stopped {
 		return
 	}
 	l.view = v
-	var ranges [][2]int64
-	addIdle := func(lo, hi int64) {
-		if k := len(ranges); k > 0 && ranges[k-1][1] == lo {
-			ranges[k-1][1] = hi
-		} else {
-			ranges = append(ranges, [2]int64{lo, hi})
-		}
-	}
-	scan := l.frontier // activation during the scan must not extend it
-	for s := l.base; s <= scan; s++ {
-		if l.slotAt(s).StepView(v) {
-			addIdle(s, s+1)
-		}
-	}
-	// The tail is open-ended: slots the sliding window creates later in
-	// this view are virgin too, and their default 1B is this one (see the
-	// package comment).
-	addIdle(scan+1, math.MaxInt64)
-	l.n.Send(l.leaderOf(v), l.topicIdle1B, wire.Idle1B{View: v, Ranges: ranges})
+	l.eng.EnterView(v)
 	l.enterViewBatch(v)
-}
-
-// onIdle1B records a peer's batched default 1Bs (leader side). Slots this
-// process already knows decided are answered with their decisions — that is
-// how a healed or late process learns the log's history from one message
-// per view. Defaults for slots active here are materialized into their
-// instances immediately; the rest of the ranges stay in idle1Bs and replay
-// on demand when a covered slot activates (onSlotActive), so the cost per
-// view is O(active slots), not O(capacity). Runs on the node loop.
-func (l *Log) onIdle1B(from failure.Proc, m wire.Message) {
-	var b wire.Idle1B
-	if wire.Decode(m, &b) != nil || l.stopped {
-		return
-	}
-	// Keep the newest view's ranges per peer: same-view messages merge (a
-	// multi-part message must not clobber the ranges already stored, which
-	// later slot activations replay to assemble quorums), an older view's
-	// reordered straggler never regresses the entry, and a newer view
-	// replaces outright. Only the INCOMING ranges are materialized below;
-	// re-walking the merged set would replay every earlier range per
-	// message.
-	incoming := b.Ranges
-	if prev, ok := l.idle1Bs[from]; ok {
-		switch {
-		case prev.View == b.View:
-			merged := make([][2]int64, 0, len(prev.Ranges)+len(b.Ranges))
-			merged = append(merged, prev.Ranges...)
-			merged = append(merged, b.Ranges...)
-			b.Ranges = merged
-			l.idle1Bs[from] = b
-		case prev.View < b.View:
-			l.idle1Bs[from] = b
-		}
-	} else {
-		l.idle1Bs[from] = b
-	}
-	var decs wire.Decs
-	behind := false
-	for _, r := range incoming {
-		lo, hi := r[0], r[1]
-		if lo < l.base {
-			behind = true // slots below the live base: truncated here
-			lo = l.base
-		}
-		if hi > l.frontier+1 {
-			hi = l.frontier + 1 // virgin tail: materialized on activation
-		}
-		for s := lo; s < hi; s++ {
-			if v, ok := l.decided[s]; ok {
-				decs = append(decs, wire.DecEntry{Slot: s, Val: v})
-			} else if inst := l.slotAt(s); inst != nil {
-				inst.Default1B(from, b.View)
-			}
-		}
-	}
-	if behind {
-		// The peer is still running slots whose decided values were
-		// truncated here, so the O(history) decs catch-up below cannot
-		// cover them — heal it with a snapshot-install instead.
-		l.sendInstall(from, b.View)
-	}
-	if len(decs) > 0 {
-		l.n.Send(from, l.topicDecs, decs)
-	}
-}
-
-// onSlotActive runs when a slot's instance first leaves its virgin state
-// (consensus.Options.OnActive), before the triggering event is processed:
-// it extends the frontier, fast-forwards the instance into the current view
-// (its default 1B for this view was already claimed by stepView's range),
-// and replays the stored idle ranges of every peer that cover the slot so
-// the instance sees the same 1B set it would have under eager delivery.
-// Runs on the node loop.
-func (l *Log) onSlotActive(slot int64) {
-	if l.stopped {
-		return
-	}
-	inst := l.slotAt(slot)
-	if inst == nil {
-		return // truncated while the activation was in flight
-	}
-	if slot > l.frontier {
-		l.frontier = slot
-	}
-	if l.view > 0 {
-		// Fast-forward a virgin instance into the current view. Its default
-		// 1B for this view needs no fresh send: stepView's open tail range
-		// [frontier+1, ∞) already covered every then-virgin slot at view
-		// entry, created or not, and an instance activated by a local
-		// proposal sends its own Mine-carrying 1B from StepView.
-		inst.StepView(l.view)
-	}
-	for from, b := range l.idle1Bs {
-		for _, r := range b.Ranges {
-			if slot >= r[0] && slot < r[1] {
-				if v, ok := l.decided[slot]; ok {
-					l.n.Send(from, l.topicDecs, wire.Decs{{Slot: slot, Val: v}})
-				} else {
-					inst.Default1B(from, b.View)
-				}
-				break
-			}
-		}
-	}
-}
-
-// onDecs adopts decided values for slots this process is still running.
-// Runs on the node loop.
-func (l *Log) onDecs(from failure.Proc, m wire.Message) {
-	var decs wire.Decs
-	if wire.Decode(m, &decs) != nil || l.stopped {
-		return
-	}
-	for _, d := range decs {
-		if d.Slot < l.base {
-			continue // already folded into a checkpoint here
-		}
-		if d.Slot >= l.base+int64(len(l.slots)) {
-			// Evidence of decisions beyond our window: a peer extended on a
-			// checkpoint announcement we missed. Creating instances is
-			// always safe; extend to adopt the decision.
-			l.extendWindow(d.Slot + 1)
-		}
-		if inst := l.slotAt(d.Slot); inst != nil {
-			inst.Learn(d.Val)
-		}
-	}
 }
 
 // Capacity returns the configured slot-window size: the number of slots
@@ -451,18 +256,12 @@ func (l *Log) onDecs(from failure.Proc, m wire.Message) {
 // checkpoints retire the decided prefix.
 func (l *Log) Capacity() int { return int(l.window) }
 
-// recordDecision stores a decision and wakes waiters. Runs on the loop.
+// recordDecision folds a slot the engine just decided and wakes its
+// waiters. Runs on the loop.
 func (l *Log) recordDecision(slot int64, v string) {
 	if slot < l.base {
 		return // below the live window: already covered by a checkpoint
 	}
-	if _, ok := l.decided[slot]; ok {
-		return
-	}
-	if slot > l.frontier {
-		l.frontier = slot
-	}
-	l.decided[slot] = v
 	l.foldPrefix()
 	for _, ch := range l.waiters[slot] {
 		ch <- v
@@ -482,7 +281,7 @@ func (l *Log) recordDecision(slot int64, v string) {
 // must observe every commit effect up to its slot. Runs on the loop.
 func (l *Log) foldPrefix() {
 	for {
-		v, ok := l.decided[l.next]
+		v, ok := l.eng.Decision(l.next)
 		if !ok {
 			break
 		}
@@ -653,7 +452,7 @@ func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 			return
 		}
 		registered = true
-		switch end := l.base + int64(len(l.slots)); {
+		switch end := l.eng.End(); {
 		case slot < l.base:
 			rangeErr = fmt.Errorf("slot %d: %w", slot, ErrCompacted)
 			return
@@ -661,7 +460,7 @@ func (l *Log) Get(ctx context.Context, slot int64) (string, error) {
 			rangeErr = fmt.Errorf("slot %d out of range [%d,%d)", slot, l.base, end)
 			return
 		}
-		if v, ok := l.decided[slot]; ok {
+		if v, ok := l.eng.Decision(slot); ok {
 			ch <- v
 			return
 		}
@@ -705,8 +504,8 @@ func (l *Log) DecidedPrefix(ctx context.Context) ([]string, error) {
 	err := l.n.CallCtx(ctx, func() {
 		base = l.base
 		var out []string
-		for s := l.base; s < l.base+int64(len(l.slots)); s++ {
-			v, ok := l.decided[s]
+		for s := l.base; ; s++ {
+			v, ok := l.eng.Decision(s)
 			if !ok {
 				break
 			}
@@ -761,8 +560,8 @@ func SlotCommands(v string) ([]string, error) {
 
 // Stop drains the append buffer (buffered commands get a bounded commit
 // attempt — the close-time flush of group commit; whatever is still
-// unapplied then fails with ErrStopped), then terminates the shared view
-// synchronizer and every slot instance, and releases blocked calls.
+// unapplied then fails with ErrStopped), then terminates the view
+// synchronizer and the consensus engine, and releases blocked calls.
 func (l *Log) Stop() {
 	l.batch.drainAndClose(5 * time.Second)
 	l.sync.Stop()
@@ -787,7 +586,5 @@ func (l *Log) Stop() {
 	if !ran {
 		l.failOut(ErrStopped) // the node stopped first; its loop has exited
 	}
-	for _, c := range l.slots {
-		c.Stop()
-	}
+	l.eng.Stop()
 }

@@ -10,11 +10,24 @@ import (
 // handler with Decode. Bodies that share a shape share a type: the topic,
 // not the body, names the message.
 
-// OneB is consensus's 1B (Figure 6): the sender's accepted value for View,
-// if any, and its own pending proposal (Mine), if any. HasVal and HasMine
-// tell ⊥ from an empty-string value.
+// OneB is consensus's 1B (Figure 6) for View, for every slot of one
+// consensus engine at once. Slots lists the slots for which the sender
+// holds an accepted value or a pending proposal of its own; each run
+// [lo, hi) in Idle is a run of slots with neither, whose 1B is the default
+// one (no accepted value, no proposal). A process sends one OneB per view
+// entry, and a single-slot one to forward a fresh proposal mid-view.
 type OneB struct {
-	View    int64
+	View  int64
+	Slots []Slot1B
+	Idle  [][2]int64
+}
+
+// Slot1B is one slot's entry in a OneB: the sender's accepted value for the
+// slot and the view it was accepted in, if any, and its own pending
+// proposal (Mine), if any. HasVal and HasMine tell ⊥ from an empty-string
+// value.
+type Slot1B struct {
+	Slot    int64
 	AView   int64
 	Val     string
 	HasVal  bool
@@ -23,49 +36,73 @@ type OneB struct {
 }
 
 func (m OneB) AppendWire(b []byte) []byte {
-	b = AppendVarint(b, m.View)
-	b = AppendVarint(b, m.AView)
-	b = AppendString(b, m.Val)
-	b = AppendBool(b, m.HasVal)
-	b = AppendString(b, m.Mine)
-	return AppendBool(b, m.HasMine)
+	b = AppendUvarint(AppendVarint(b, m.View), uint64(len(m.Slots)))
+	for _, s := range m.Slots {
+		b = AppendVarint(AppendVarint(b, s.Slot), s.AView)
+		b = AppendBool(AppendString(b, s.Val), s.HasVal)
+		b = AppendBool(AppendString(b, s.Mine), s.HasMine)
+	}
+	b = AppendUvarint(b, uint64(len(m.Idle)))
+	for _, rg := range m.Idle {
+		b = AppendVarint(AppendVarint(b, rg[0]), rg[1])
+	}
+	return b
 }
 
 func (m *OneB) DecodeWire(b []byte) error {
 	r := NewReader(b)
-	m.View, m.AView = r.Varint(), r.Varint()
-	m.Val, m.HasVal = r.String(), r.Bool()
-	m.Mine, m.HasMine = r.String(), r.Bool()
+	m.View = r.Varint()
+	m.Slots = nil
+	if n := r.Count(6); n > 0 {
+		m.Slots = make([]Slot1B, n)
+		for i := range m.Slots {
+			s := &m.Slots[i]
+			s.Slot, s.AView = r.Varint(), r.Varint()
+			s.Val, s.HasVal = r.String(), r.Bool()
+			s.Mine, s.HasMine = r.String(), r.Bool()
+		}
+	}
+	m.Idle = nil
+	if n := r.Count(2); n > 0 {
+		m.Idle = make([][2]int64, n)
+		for i := range m.Idle {
+			m.Idle[i] = [2]int64{r.Varint(), r.Varint()}
+		}
+	}
 	return r.Done()
 }
 
-// Accept is consensus's 2A (the leader's proposal for View) and 2B (a
-// process's acceptance of it).
+// Accept is consensus's 2A (the leader's proposal for Slot in View) and 2B
+// (a process's acceptance of it). Slot comes first, so a handler can read
+// it without decoding the value.
 type Accept struct {
+	Slot int64
 	View int64
 	Val  string
 }
 
 func (m Accept) AppendWire(b []byte) []byte {
-	return AppendString(AppendVarint(b, m.View), m.Val)
+	return AppendString(AppendVarint(AppendVarint(b, m.Slot), m.View), m.Val)
 }
 
 func (m *Accept) DecodeWire(b []byte) error {
 	r := NewReader(b)
-	m.View, m.Val = r.Varint(), r.String()
+	m.Slot, m.View, m.Val = r.Varint(), r.Varint(), r.String()
 	return r.Done()
 }
 
-// Decision is consensus's decision announcement.
+// Decision is consensus's decision of one slot: an announcement on its
+// own, and an entry of Decs.
 type Decision struct {
-	Val string
+	Slot int64
+	Val  string
 }
 
-func (m Decision) AppendWire(b []byte) []byte { return AppendString(b, m.Val) }
+func (m Decision) AppendWire(b []byte) []byte { return AppendString(AppendVarint(b, m.Slot), m.Val) }
 
 func (m *Decision) DecodeWire(b []byte) error {
 	r := NewReader(b)
-	m.Val = r.String()
+	m.Slot, m.Val = r.Varint(), r.String()
 	return r.Done()
 }
 
@@ -223,44 +260,13 @@ func (m *Fwd) DecodeWire(b []byte) error {
 	return r.Done()
 }
 
-// Idle1B batches the default 1Bs of a log's idle slots for View: each range
-// [lo, hi) is a run of slots with no accepted value and no proposal.
-type Idle1B struct {
-	View   int64
-	Ranges [][2]int64
-}
-
-func (m Idle1B) AppendWire(b []byte) []byte {
-	b = AppendUvarint(AppendVarint(b, m.View), uint64(len(m.Ranges)))
-	for _, rg := range m.Ranges {
-		b = AppendVarint(AppendVarint(b, rg[0]), rg[1])
-	}
-	return b
-}
-
-func (m *Idle1B) DecodeWire(b []byte) error {
-	r := NewReader(b)
-	m.View = r.Varint()
-	m.Ranges = make([][2]int64, r.Count(2))
-	for i := range m.Ranges {
-		m.Ranges[i] = [2]int64{r.Varint(), r.Varint()}
-	}
-	return r.Done()
-}
-
-// DecEntry is one decided log slot.
-type DecEntry struct {
-	Slot int64
-	Val  string
-}
-
 // Decs carries decided slots to a process still running them.
-type Decs []DecEntry
+type Decs []Decision
 
 func (m Decs) AppendWire(b []byte) []byte {
 	b = AppendUvarint(b, uint64(len(m)))
 	for _, d := range m {
-		b = AppendString(AppendVarint(b, d.Slot), d.Val)
+		b = d.AppendWire(b)
 	}
 	return b
 }
@@ -274,7 +280,7 @@ func (m *Decs) DecodeWire(b []byte) error {
 func readDecs[S string | []byte](r *Reader[S]) Decs {
 	out := make(Decs, r.Count(2))
 	for i := range out {
-		out[i] = DecEntry{Slot: r.Varint(), Val: r.String()}
+		out[i] = Decision{Slot: r.Varint(), Val: r.String()}
 	}
 	return out
 }

@@ -71,7 +71,6 @@ var bodyTypes = []func() codec{
 	func() codec { return new(SeqData) },
 	func() codec { return new(StateClock) },
 	func() codec { return new(Fwd) },
-	func() codec { return new(Idle1B) },
 	func() codec { return new(Decs) },
 	func() codec { return new(Snap) },
 }
@@ -91,12 +90,14 @@ func envelopeShapes() []envelopeShape {
 		panic(err)
 	}
 	return []envelopeShape{
-		{"1b", "kv/slot17/1b", &OneB{View: 9, AView: 8, Val: batch, HasVal: true, Mine: kvCmd("k", "v"), HasMine: true}},
-		{"1b-default", "kv/slot17/1b", &OneB{View: 9}},
-		{"2a", "kv/slot17/2a", &Accept{View: 9, Val: batch}},
-		{"2b-batch64", "kv/slot17/2b", &Accept{View: 9, Val: batch}},
-		{"dec", "kv/slot17/dec", &Decision{Val: batch}},
-		{"idle1b", "kv/idle1b", &Idle1B{View: 9, Ranges: [][2]int64{{0, 17}, {18, math.MaxInt64}}}},
+		{"1b", "kv/1b", &OneB{View: 9,
+			Slots: []Slot1B{{Slot: 17, AView: 8, Val: batch, HasVal: true, Mine: kvCmd("k", "v"), HasMine: true}, {Slot: 19, Mine: kvCmd("k", "w"), HasMine: true}},
+			Idle:  [][2]int64{{0, 17}, {18, 19}, {20, math.MaxInt64}}}},
+		{"1b-forward", "kv/1b", &OneB{View: 9, Slots: []Slot1B{{Slot: 4096, Mine: batch, HasMine: true}}}},
+		{"1b-default", "kv/1b", &OneB{View: 9, Idle: [][2]int64{{0, math.MaxInt64}}}},
+		{"2a", "kv/2a", &Accept{Slot: 17, View: 9, Val: batch}},
+		{"2b-batch64", "kv/2b", &Accept{Slot: 17, View: 9, Val: batch}},
+		{"dec", "kv/dec", &Decision{Slot: 17, Val: batch}},
 		{"decs", "kv/decs", &Decs{{Slot: 3, Val: batch}, {Slot: 4, Val: "x"}}},
 		{"ckpt", "kv/ckpt", ptr(Int(4096))},
 		{"snap", "kv/snap", &Snap{Frontier: 64, State: ckpt, Decs: Decs{{Slot: 64, Val: batch}},

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -161,6 +163,36 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: the slot-carrying consensus bodies (a view's 1B over many
+// slots, a slot's 2A/2B and decision, a run of decisions) decode to what
+// was encoded: re-encoding the decoded value gives the same bytes.
+func TestSlotBodiesQuickRoundTrip(t *testing.T) {
+	for _, mk := range []func() codec{
+		func() codec { return new(OneB) },
+		func() codec { return new(Accept) },
+		func() codec { return new(Decision) },
+		func() codec { return new(Decs) },
+	} {
+		typ := reflect.TypeOf(mk()).Elem()
+		f := func(seed int64) bool {
+			v, ok := quick.Value(typ, rand.New(rand.NewSource(seed)))
+			if !ok {
+				return false
+			}
+			in := v.Addr().Interface().(codec).AppendWire(nil)
+			got := mk()
+			if err := got.DecodeWire(in); err != nil {
+				t.Logf("%T: %v", got, err)
+				return false
+			}
+			return bytes.Equal(got.AppendWire(nil), in)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("%v: %v", typ, err)
+		}
 	}
 }
 

@@ -216,8 +216,8 @@ func newTarget(cfg Config) (target, error) {
 // independent quorum-system groups behind a consistent-hash ring. One shard
 // is the plain single-group deployment. Config.Slots is the deployment's
 // total slot window, divided evenly across shards: comparing shard counts
-// at a fixed -slots compares equal resource budgets (slot instances cost
-// startup work, memory and per-view batching at every node), so measured
+// at a fixed -slots compares equal window budgets (the window bounds the
+// slots in flight and between checkpoints at every node), so measured
 // speedups are scaling, not extra provisioning.
 func newKVTarget(cfg Config) (target, error) {
 	qs, err := quorumSystemFor(cfg.Nodes)
