@@ -73,8 +73,8 @@
 //
 // Invalid flag combinations (a value out of range, or a flag that its
 // protocol/mode would silently ignore, like -shards with -protocol register
-// or -zipf-s with -dist uniform) are rejected with a usage message and a
-// non-zero exit.
+// or -zipf-s with -dist uniform) are rejected by workload.Config.Validate
+// with a usage message and a non-zero exit, before any cluster opens.
 package main
 
 import (
@@ -98,186 +98,71 @@ func main() {
 }
 
 func run(args []string, w io.Writer) error {
+	var cfg workload.Config
 	fs := flag.NewFlagSet("gqsload", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	protocol := fs.String("protocol", "register", "protocol to load: register, snapshot, lattice or kv")
-	netKind := fs.String("net", "mem", "transport: mem (simulated) or tcp (loopback sockets)")
-	nodes := fs.Int("nodes", 4, "cluster size (4 = Figure-1 GQS; otherwise crash-minority threshold)")
-	clients := fs.Int("clients", 8, "number of concurrent client loops")
-	rate := fs.Float64("rate", 0, "open-loop target ops/sec across all clients (0 = closed loop)")
-	duration := fs.Duration("duration", 5*time.Second, "measured run length")
-	warmup := fs.Duration("warmup", 0, "unmeasured warmup before the run")
-	keys := fs.Int("keys", 0, "key-space size (0 = protocol default: 64 registers, 16 snapshots, 64 kv keys)")
-	dist := fs.String("dist", "uniform", "key distribution: uniform or zipf")
-	zipfS := fs.Float64("zipf-s", 0, "zipf skew exponent (default 1.1)")
-	zipfV := fs.Float64("zipf-v", 0, "zipf rank offset (default 1)")
-	readfrac := fs.Float64("readfrac", workload.DefaultReadFraction, "fraction of operations taking the read path (default 0.5; an explicit 0 = write-only)")
-	pattern := fs.Int("pattern", 0, "failure pattern to inject mid-run: 0 = none, 1..4 = f1..f4 of Figure 1")
-	faultAt := fs.Float64("fault-at", 0.5, "fraction of the run after which the pattern is injected (0 = at start)")
-	uf := fs.Bool("uf", false, "restrict clients to the pattern's termination component U_f")
-	shards := fs.Int("shards", 1, "independent quorum-system groups the kv keyspace is consistent-hashed across")
-	batch := fs.Int("batch", 0, "max Sets per group-commit consensus round (kv protocol; 0 = default 64, 1 = one Set per slot)")
-	batchWindow := fs.Duration("batch-window", 0, "group-commit coalescing window (kv; 0 = default 1ms when -batch > 1, none otherwise)")
-	pipeline := fs.Int("pipeline", 0, "batches kept in flight / async writes outstanding per client (kv; 0 = default 4, clients synchronous unless -batch > 1)")
-	slots := fs.Int("slots", 0, "total SMR slot window, divided across shards; the window slides as checkpoints retire decided slots (kv protocol; 0 = default 4096)")
-	latticePool := fs.Int("lattice-pool", 0, "single-shot lattice object pool size (lattice protocol; 0 = default 8)")
-	syncReads := fs.Bool("sync-reads", false, "kv reads commit a Sync barrier before Get")
-	leaseDur := fs.Duration("lease", 0, "read-lease duration: leased local reads at each shard's holder, shared barriers elsewhere (kv; implies -sync-reads; 0 = off)")
-	nemSpec := fs.String("nemesis", "", "chaos scenario spec driven against shard 0 (kv over mem; see internal/nemesis grammar)")
-	nemSeed := fs.Int64("nemesis-seed", 0, "scenario compilation seed; the event timeline replays bit for bit from (spec, seed, duration) (0 = -seed)")
-	seed := fs.Int64("seed", 1, "RNG seed (keys, op mix, simulated delays)")
-	minDelay := fs.Duration("min-delay", 0, "simulated per-hop delay lower bound (mem transport; 0 = default 10µs)")
-	maxDelay := fs.Duration("max-delay", 0, "simulated per-hop delay upper bound (mem transport; 0 = default 300µs)")
-	opTimeout := fs.Duration("op-timeout", 0, "per-operation timeout (0 = protocol default: 2s register, 5s others)")
+	fs.StringVar((*string)(&cfg.Protocol), "protocol", "register", "protocol to load: register, snapshot, lattice or kv")
+	fs.StringVar((*string)(&cfg.Net), "net", "mem", "transport: mem (simulated) or tcp (loopback sockets)")
+	fs.IntVar(&cfg.Nodes, "nodes", 4, "cluster size (4 = Figure-1 GQS; otherwise crash-minority threshold)")
+	fs.IntVar(&cfg.Clients, "clients", 8, "number of concurrent client loops")
+	fs.Float64Var(&cfg.Rate, "rate", 0, "open-loop target ops/sec across all clients (0 = closed loop)")
+	fs.DurationVar(&cfg.Duration, "duration", 5*time.Second, "measured run length")
+	fs.DurationVar(&cfg.Warmup, "warmup", 0, "unmeasured warmup before the run")
+	fs.IntVar(&cfg.Keys, "keys", 0, "key-space size (0 = protocol default: 64 registers, 16 snapshots, 64 kv keys)")
+	fs.StringVar((*string)(&cfg.Dist), "dist", "uniform", "key distribution: uniform or zipf")
+	fs.Float64Var(&cfg.ZipfS, "zipf-s", 0, "zipf skew exponent (default 1.1)")
+	fs.Float64Var(&cfg.ZipfV, "zipf-v", 0, "zipf rank offset (default 1)")
+	fs.Float64Var(&cfg.ReadFraction, "readfrac", workload.DefaultReadFraction, "fraction of operations taking the read path (default 0.5; an explicit 0 = write-only)")
+	fs.IntVar(&cfg.Pattern, "pattern", 0, "failure pattern to inject mid-run: 0 = none, 1..4 = f1..f4 of Figure 1")
+	fs.Float64Var(&cfg.FaultFrac, "fault-at", 0.5, "fraction of the run after which the pattern is injected (0 = at start)")
+	fs.BoolVar(&cfg.RestrictToUf, "uf", false, "restrict clients to the pattern's termination component U_f")
+	fs.IntVar(&cfg.Shards, "shards", 1, "independent quorum-system groups the kv keyspace is consistent-hashed across")
+	fs.IntVar(&cfg.Batch, "batch", 0, "max Sets per group-commit consensus round (kv protocol; 0 = default 64, 1 = one Set per slot)")
+	fs.DurationVar(&cfg.BatchWindow, "batch-window", 0, "group-commit coalescing window (kv; 0 = default 1ms when -batch > 1, none otherwise)")
+	fs.IntVar(&cfg.Pipeline, "pipeline", 0, "batches kept in flight / async writes outstanding per client (kv; 0 = default 4, clients synchronous unless -batch > 1)")
+	fs.IntVar(&cfg.Slots, "slots", 0, "total SMR slot window, divided across shards; the window slides as checkpoints retire decided slots (kv protocol; 0 = default 4096)")
+	fs.IntVar(&cfg.LatticePool, "lattice-pool", 0, "single-shot lattice object pool size (lattice protocol; 0 = default 8)")
+	fs.BoolVar(&cfg.SyncReads, "sync-reads", false, "kv reads commit a Sync barrier before Get")
+	fs.DurationVar(&cfg.Lease, "lease", 0, "read-lease duration: leased local reads at each shard's holder, shared barriers elsewhere (kv; implies -sync-reads; 0 = off)")
+	fs.StringVar(&cfg.Nemesis, "nemesis", "", "chaos scenario spec driven against shard 0 (kv over mem; see internal/nemesis grammar)")
+	fs.Int64Var(&cfg.NemesisSeed, "nemesis-seed", 0, "scenario compilation seed; the event timeline replays bit for bit from (spec, seed, duration) (0 = -seed)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "RNG seed (keys, op mix, simulated delays)")
+	fs.DurationVar(&cfg.MinDelay, "min-delay", 0, "simulated per-hop delay lower bound (mem transport; 0 = default 10µs)")
+	fs.DurationVar(&cfg.MaxDelay, "max-delay", 0, "simulated per-hop delay upper bound (mem transport; 0 = default 300µs)")
+	fs.DurationVar(&cfg.OpTimeout, "op-timeout", 0, "per-operation timeout (0 = protocol default: 2s register, 5s others)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// Reject flag combinations the engine would otherwise silently ignore
-	// (or misread), before any cluster spins up. set tracks flags the user
-	// passed explicitly, distinguishing "-slots 0" from an absent -slots.
+	// Config reads a zero field as unset. These flags show a non-zero
+	// default, so a 0 there was typed and is passed on as -1: write-only
+	// for -readfrac, injection at the start for -fault-at, and a rejected
+	// value for -shards, -clients and -duration. An absent -fault-at stays
+	// unset, so that its default applies only with a pattern.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	var bad []string
-	reject := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	if *shards < 1 {
-		reject("-shards must be at least 1, got %d", *shards)
+	switch {
+	case !set["fault-at"]:
+		cfg.FaultFrac = 0
+	case cfg.FaultFrac == 0:
+		cfg.FaultFrac = -1
 	}
-	if *shards > 1 && *protocol != "kv" {
-		reject("-shards applies to -protocol kv only (got %q)", *protocol)
-	}
-	if *rate < 0 {
-		reject("-rate must be non-negative (0 = closed loop), got %v", *rate)
-	}
-	if *clients < 1 {
-		reject("-clients must be at least 1, got %d", *clients)
-	}
-	if *duration <= 0 {
-		reject("-duration must be positive, got %v", *duration)
-	}
-	if *warmup < 0 {
-		reject("-warmup must be non-negative, got %v", *warmup)
-	}
-	if *keys < 0 {
-		reject("-keys must be non-negative (0 = protocol default), got %d", *keys)
-	}
-	if *readfrac < 0 || *readfrac > 1 {
-		reject("-readfrac must be in [0,1], got %v", *readfrac)
-	}
-	if *pattern < 0 || *pattern > 4 {
-		reject("-pattern must be in 0..4 (0 = none, 1..4 = f1..f4), got %d", *pattern)
-	}
-	if *faultAt < 0 || *faultAt >= 1 {
-		reject("-fault-at must be in [0,1), got %v", *faultAt)
-	}
-	if (set["zipf-s"] || set["zipf-v"]) && *dist != "zipf" {
-		reject("-zipf-s/-zipf-v apply to -dist zipf only (got %q)", *dist)
-	}
-	if set["zipf-s"] && *zipfS <= 1 {
-		reject("-zipf-s must exceed 1, got %v", *zipfS)
-	}
-	if set["uf"] && *pattern == 0 {
-		reject("-uf needs a failure pattern (-pattern 1..4)")
-	}
-	if set["fault-at"] && *pattern == 0 {
-		reject("-fault-at needs a failure pattern (-pattern 1..4)")
-	}
-	if (set["slots"] || set["sync-reads"] || set["lease"]) && *protocol != "kv" {
-		reject("-slots/-sync-reads/-lease apply to -protocol kv only (got %q)", *protocol)
-	}
-	if *leaseDur < 0 {
-		reject("-lease must be non-negative (0 = no read lease), got %v", *leaseDur)
-	}
-	if (set["batch"] || set["batch-window"] || set["pipeline"]) && *protocol != "kv" {
-		reject("-batch/-batch-window/-pipeline apply to -protocol kv only (got %q)", *protocol)
-	}
-	if *batch < 0 || *pipeline < 0 || *batchWindow < 0 {
-		reject("-batch/-batch-window/-pipeline must be non-negative")
-	}
-	if set["lattice-pool"] && *protocol != "lattice" {
-		reject("-lattice-pool applies to -protocol lattice only (got %q)", *protocol)
-	}
-	if *nemSpec != "" {
-		if *protocol != "kv" {
-			reject("-nemesis applies to -protocol kv only (got %q)", *protocol)
-		}
-		if *netKind != "mem" {
-			reject("-nemesis needs the mem network (got %q)", *netKind)
-		}
-		if *pattern > 0 {
-			reject("-nemesis and -pattern are mutually exclusive")
-		}
-	}
-	if set["nemesis-seed"] && *nemSpec == "" {
-		reject("-nemesis-seed needs a scenario (-nemesis)")
-	}
-	if (set["min-delay"] || set["max-delay"]) && *netKind != "mem" {
-		reject("-min-delay/-max-delay shape the simulated mem transport only (got %q)", *netKind)
-	}
-	if *minDelay < 0 || *maxDelay < 0 {
-		reject("-min-delay/-max-delay must be non-negative")
-	} else if set["min-delay"] || set["max-delay"] {
-		// Compare against the bound the engine will actually use, so
-		// "-min-delay 1ms" without -max-delay errors instead of silently
-		// degenerating to a constant 1ms delay.
-		effMin, effMax := *minDelay, *maxDelay
-		if effMin == 0 {
-			effMin = workload.DefaultMinDelay
-		}
-		if effMax == 0 {
-			effMax = workload.DefaultMaxDelay
-		}
-		if effMin > effMax {
-			reject("-min-delay %v exceeds -max-delay %v (unset bounds default to %v/%v)",
-				effMin, effMax, workload.DefaultMinDelay, workload.DefaultMaxDelay)
-		}
-	}
-	if len(bad) > 0 {
-		fs.Usage()
-		return fmt.Errorf("invalid flags: %s", strings.Join(bad, "; "))
-	}
-
-	cfg := workload.Config{
-		Protocol:     workload.Protocol(*protocol),
-		Net:          workload.NetKind(*netKind),
-		Nodes:        *nodes,
-		Clients:      *clients,
-		Rate:         *rate,
-		Duration:     *duration,
-		Warmup:       *warmup,
-		Keys:         *keys,
-		Dist:         workload.DistKind(*dist),
-		ZipfS:        *zipfS,
-		ZipfV:        *zipfV,
-		ReadFraction: *readfrac,
-		Seed:         *seed,
-		Pattern:      *pattern,
-		FaultFrac:    *faultAt,
-		RestrictToUf: *uf,
-		Shards:       *shards,
-		Slots:        *slots,
-		Batch:        *batch,
-		BatchWindow:  *batchWindow,
-		Pipeline:     *pipeline,
-		LatticePool:  *latticePool,
-		SyncReads:    *syncReads,
-		Lease:        *leaseDur,
-		Nemesis:      *nemSpec,
-		NemesisSeed:  *nemSeed,
-		OpTimeout:    *opTimeout,
-		MinDelay:     *minDelay,
-		MaxDelay:     *maxDelay,
-	}
-
-	// The engine's Config treats zero ReadFraction/FaultFrac as "use the
-	// default"; an explicit 0 on the command line means write-only reads
-	// and inject-at-start respectively.
-	if *readfrac == 0 {
+	if cfg.ReadFraction == 0 {
 		cfg.ReadFraction = -1
 	}
-	if *faultAt == 0 {
-		cfg.FaultFrac = -1
+	if cfg.Shards == 0 {
+		cfg.Shards = -1
+	}
+	if cfg.Clients == 0 {
+		cfg.Clients = -1
+	}
+	if cfg.Duration == 0 {
+		cfg.Duration = -1
+	}
+	if err := cfg.Validate(); err != nil {
+		fs.Usage()
+		return fmt.Errorf("invalid flags: %w", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -137,6 +137,9 @@ type slotState struct {
 	// peer itself: a late 2A or 2B from a peer then needs no answer, since
 	// the announcement already went to it.
 	announced bool
+	// parked2A is the latest 2A for a view not entered yet, accepted on
+	// entering that view. A pointer: parking is rare, the state is not.
+	parked2A *wire.Accept
 }
 
 type rec1B struct {
@@ -160,7 +163,7 @@ type idleRuns struct {
 	runs [][2]int64
 }
 
-// future1BWindow bounds how far ahead of our view a parked 1B may be.
+// future1BWindow bounds how far ahead of our view a parked 1B or 2A may be.
 const future1BWindow = 4
 
 // NewEngine installs a multi-slot consensus engine on the node. The owner
@@ -316,6 +319,15 @@ func (e *Engine) EnterView(v int64) {
 			}
 		} else {
 			addIdle(slot, slot+1)
+		}
+		// A 2A that arrived before this view is accepted only now, after
+		// the view's 1B took the slot as it stood before v: a leader that
+		// proposed before this process entered v need not wait out the view.
+		if a := s.parked2A; a != nil && a.View <= v {
+			s.parked2A = nil
+			if a.View == v {
+				e.accept(slot, s, a.Val)
+			}
 		}
 	}
 	tail := int64(math.MaxInt64)
@@ -529,7 +541,9 @@ func peekSlot(m wire.Message) int64 {
 }
 
 // on2A implements acceptance (Figure 6, lines 17-22). A decided slot drops
-// the body undecoded (see answerLate).
+// the body undecoded (see answerLate); a 2A for one of the next
+// future1BWindow views is parked until this process enters it, the way
+// 1Bs are.
 func (e *Engine) on2A(from failure.Proc, m wire.Message) {
 	if e.stopped {
 		return
@@ -544,14 +558,28 @@ func (e *Engine) on2A(from failure.Proc, m wire.Message) {
 		return
 	}
 	var a wire.Accept
-	if a.DecodeWire(m.Body) != nil || a.View != e.view {
+	if a.DecodeWire(m.Body) != nil {
 		return
 	}
+	switch {
+	case a.View == e.view:
+		e.accept(slot, s, a.Val)
+	case a.View > e.view && a.View <= e.view+future1BWindow:
+		if s.parked2A == nil || a.View > s.parked2A.View {
+			early := a
+			s.parked2A = &early
+		}
+	}
+}
+
+// accept adopts the current view's proposal for slot and broadcasts the
+// 2B, unless the slot already accepted in this view.
+func (e *Engine) accept(slot int64, s *slotState, val string) {
 	if s.ph != phaseEnter && s.ph != phasePropose {
 		return
 	}
-	s.val, s.hasVal, s.aview = a.Val, true, e.view
-	e.n.Broadcast(e.topic2B, wire.Accept{Slot: slot, View: e.view, Val: a.Val})
+	s.val, s.hasVal, s.aview = val, true, e.view
+	e.n.Broadcast(e.topic2B, wire.Accept{Slot: slot, View: e.view, Val: val})
 	s.ph = phaseAccept
 }
 
@@ -666,6 +694,7 @@ func (e *Engine) decide(slot int64, s *slotState, val string, announce bool) {
 	clear(s.twoBs)
 	clear(s.parked)
 	s.oneBs, s.twoBs, s.parked = s.oneBs[:0], s.twoBs[:0], s.parked[:0]
+	s.parked2A = nil
 	for _, w := range s.waiters {
 		e.complete(w, val, nil)
 	}

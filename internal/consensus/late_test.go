@@ -81,6 +81,62 @@ func TestConsensusLate2BAnsweredOnlyAfterLearn(t *testing.T) {
 	}
 }
 
+// TestConsensusEarly2AAcceptedOnViewEntry: a 2A for a view this process
+// has not entered yet is parked, not dropped. Process 1 receives view 1's
+// 2A while still in view 0; on entering view 1 it first reports the slot
+// in its 1B as it stood before the view (no value accepted in view 1), and
+// then accepts the parked 2A, broadcasting the view's 2B.
+func TestConsensusEarly2AAcceptedOnViewEntry(t *testing.T) {
+	net := transport.NewMem(2, transport.WithDelay(transport.UniformDelay{}))
+	defer net.Close()
+	n0, n1 := node.New(0, net), node.New(1, net)
+	defer n0.Stop()
+	defer n1.Stop()
+	e := NewEngine(n1, EngineOptions{Name: "x", Slots: 1})
+	defer e.Stop()
+
+	twoBs := make(chan wire.Accept, 8)
+	oneBs := make(chan wire.OneB, 8)
+	n0.Handle("x/2b", func(_ failure.Proc, m wire.Message) {
+		var a wire.Accept
+		if wire.Decode(m, &a) == nil {
+			twoBs <- a
+		}
+	})
+	n0.Handle("x/1b", func(_ failure.Proc, m wire.Message) {
+		var b wire.OneB
+		if wire.Decode(m, &b) == nil {
+			oneBs <- b
+		}
+	})
+
+	// Process 0 leads view 1 and sends its 2A before process 1 enters it.
+	n0.Send(1, "x/2a", wire.Accept{Slot: 0, View: 1, Val: "v"})
+	for seen := false; !seen; {
+		n1.Call(func() { seen = e.lookup(0) != nil })
+	}
+	n1.Call(func() { e.EnterView(1) })
+
+	select {
+	case b := <-oneBs:
+		for _, s := range b.Slots {
+			if s.Slot == 0 && s.HasVal && s.AView >= 1 {
+				t.Fatalf("view-1 1B reports slot 0 accepted in view %d", s.AView)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no 1B on entering view 1")
+	}
+	select {
+	case a := <-twoBs:
+		if a.Slot != 0 || a.View != 1 || a.Val != "v" {
+			t.Fatalf("2B = %+v, want slot 0, view 1, value v", a)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the 2A parked in view 0 was never accepted in view 1")
+	}
+}
+
 // BenchmarkConsensusDecide times one single-shot decision on the Figure-1
 // quorum system over a zero-delay network, from the leader's proposal to
 // its decision. Each iteration runs a fresh instance at all four processes;

@@ -168,8 +168,8 @@ func (o *client) route(ctx context.Context, failover bool, op func(ctx context.C
 	// candidate list; re-submittable harm rules out retrying the rest, the
 	// same line doNoFailover draws.
 	rounds := 1
-	if failover && o.c.retryRounds > 0 {
-		rounds += o.c.retryRounds
+	if failover && o.c.cfg.retryRounds > 0 {
+		rounds += o.c.cfg.retryRounds
 	}
 	deadline, hasDeadline := ctx.Deadline()
 	start := time.Now()
@@ -231,7 +231,7 @@ func (o *client) route(ctx context.Context, failover bool, op func(ctx context.C
 // (r >= 1): a uniformly random duration in [base/2, base] doubled per
 // pass, capped at a second. Returns ctx's error if it expires first.
 func (o *client) backoff(ctx context.Context, r int) error {
-	d := o.c.retryBackoff << uint(min(r-1, 16))
+	d := o.c.cfg.retryBackoff << uint(min(r-1, 16))
 	if d > time.Second {
 		d = time.Second
 	}

@@ -49,7 +49,8 @@ var ErrNoGQS = errors.New("fail-prone system admits no generalized quorum system
 // ErrClusterClosed is returned by provisioning calls after Close.
 var ErrClusterClosed = errors.New("cluster closed")
 
-// config collects the functional options of Open.
+// config collects the functional options of Open; withDefaults resolves it
+// once and the Cluster keeps the result.
 type config struct {
 	reads, writes []graph.BitSet
 	network       transport.Network
@@ -62,6 +63,7 @@ type config struct {
 	batch         smr.BatchOptions
 	compaction    smr.CompactionOptions
 	lease         time.Duration
+	leased        bool // WithLease or WithLeaseHolder was given
 	leaseHolder   failure.Proc
 	leaseClock    func(failure.Proc) clock.Clock
 	retryRounds   int
@@ -70,6 +72,26 @@ type config struct {
 
 // Option configures Open.
 type Option func(*config)
+
+// withDefaults fills every setting left unset with its default.
+func (c config) withDefaults() config {
+	if c.tick <= 0 {
+		c.tick = 2 * time.Millisecond
+	}
+	if c.viewC <= 0 {
+		c.viewC = 25 * time.Millisecond
+	}
+	if c.slots <= 0 {
+		c.slots = smr.DefaultSlots
+	}
+	if c.leased && c.lease <= 0 {
+		c.lease = lease.DefaultDuration
+	}
+	if c.retryBackoff <= 0 {
+		c.retryBackoff = 5 * time.Millisecond
+	}
+	return c
+}
 
 // WithQuorums pins the quorum families instead of deriving them with the
 // decision procedure. Open still validates that (F, R, W) is a generalized
@@ -165,24 +187,14 @@ func WithPipeline(n int) Option {
 // accepts lease.DefaultDuration. See the lease package for the protocol
 // and its linearizability argument.
 func WithLease(d time.Duration) Option {
-	return func(c *config) {
-		c.lease = d
-		if d <= 0 {
-			c.lease = lease.DefaultDuration
-		}
-	}
+	return func(c *config) { c.lease, c.leased = d, true }
 }
 
 // WithLeaseHolder picks the process that holds read leases (default
 // process 0). Implies WithLease's default duration when WithLease was not
 // otherwise given.
 func WithLeaseHolder(p failure.Proc) Option {
-	return func(c *config) {
-		c.leaseHolder = p
-		if c.lease <= 0 {
-			c.lease = lease.DefaultDuration
-		}
-	}
+	return func(c *config) { c.leaseHolder, c.leased = p, true }
 }
 
 // WithRetry makes failover-safe client operations retry after exhausting
@@ -195,13 +207,7 @@ func WithLeaseHolder(p failure.Proc) Option {
 // context deadline still bounds everything. Off by default: steady-state
 // tests rely on a single pass failing fast.
 func WithRetry(rounds int, base time.Duration) Option {
-	return func(c *config) {
-		c.retryRounds = rounds
-		c.retryBackoff = base
-		if c.retryBackoff <= 0 {
-			c.retryBackoff = 5 * time.Millisecond
-		}
-	}
+	return func(c *config) { c.retryRounds, c.retryBackoff = rounds, base }
 }
 
 // WithLeaseClocks supplies the per-process clock the KV lease managers run
@@ -230,17 +236,7 @@ type Cluster struct {
 	ownsNet bool
 	nodes   []*node.Node
 	props   []*qaf.Propagator
-
-	tick         time.Duration
-	viewC        time.Duration
-	slots        int
-	batch        smr.BatchOptions
-	compaction   smr.CompactionOptions
-	lease        time.Duration
-	leaseHolder  failure.Proc
-	leaseClock   func(failure.Proc) clock.Clock
-	retryRounds  int
-	retryBackoff time.Duration
+	cfg     config // resolved: every default applied
 
 	mu      sync.Mutex
 	objects map[objKey]Object
@@ -267,6 +263,7 @@ func Open(failProne failure.System, opts ...Option) (*Cluster, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	cfg = cfg.withDefaults()
 	if err := failProne.Validate(); err != nil {
 		return nil, fmt.Errorf("fail-prone system: %w", err)
 	}
@@ -287,28 +284,10 @@ func Open(failProne failure.System, opts ...Option) (*Cluster, error) {
 		return nil, fmt.Errorf("WithLeaseHolder: process %d out of range [0,%d)", cfg.leaseHolder, n)
 	}
 	c := &Cluster{
-		QS:           qs,
-		tick:         cfg.tick,
-		viewC:        cfg.viewC,
-		slots:        cfg.slots,
-		batch:        cfg.batch,
-		compaction:   cfg.compaction,
-		lease:        cfg.lease,
-		leaseHolder:  cfg.leaseHolder,
-		leaseClock:   cfg.leaseClock,
-		retryRounds:  cfg.retryRounds,
-		retryBackoff: cfg.retryBackoff,
-		objects:      make(map[objKey]Object),
-		pending:      make(map[objKey]*pendingObj),
-	}
-	if c.tick <= 0 {
-		c.tick = 2 * time.Millisecond
-	}
-	if c.viewC <= 0 {
-		c.viewC = 25 * time.Millisecond
-	}
-	if c.slots <= 0 {
-		c.slots = smr.DefaultSlots
+		QS:      qs,
+		cfg:     cfg,
+		objects: make(map[objKey]Object),
+		pending: make(map[objKey]*pendingObj),
 	}
 
 	switch {
@@ -362,7 +341,7 @@ func Open(failProne failure.System, opts ...Option) (*Cluster, error) {
 		}
 	}
 	for _, nd := range c.nodes {
-		c.props = append(c.props, qaf.NewPropagator(nd, c.tick))
+		c.props = append(c.props, qaf.NewPropagator(nd, cfg.tick))
 	}
 	return c, nil
 }
@@ -549,7 +528,7 @@ func (c *Cluster) Register(name string) (*RegisterClient, error) {
 			eps = append(eps, register.New(nd, register.Options{
 				Name:  "reg/" + name,
 				Reads: c.QS.Reads, Writes: c.QS.Writes,
-				Tick: c.tick, Propagator: c.props[i],
+				Tick: c.cfg.tick, Propagator: c.props[i],
 			}))
 		}
 		rc := &RegisterClient{eps: eps}
@@ -575,7 +554,7 @@ func (c *Cluster) Snapshot(name string) (*SnapshotClient, error) {
 			eps = append(eps, snapshot.New(nd, snapshot.Options{
 				Name:  "snap/" + name,
 				Reads: c.QS.Reads, Writes: c.QS.Writes,
-				Tick: c.tick, Propagator: c.props[i],
+				Tick: c.cfg.tick, Propagator: c.props[i],
 			}))
 		}
 		sc := &SnapshotClient{eps: eps}
@@ -603,7 +582,7 @@ func (c *Cluster) LatticeAgreement(name string, l lattice.Lattice) (*LatticeClie
 			eps = append(eps, lattice.NewAgreement(nd, lattice.AgreementOptions{
 				Name: "la/" + name, Lattice: l,
 				Reads: c.QS.Reads, Writes: c.QS.Writes,
-				Tick: c.tick, Propagator: c.props[i],
+				Tick: c.cfg.tick, Propagator: c.props[i],
 			}))
 		}
 		lc := &LatticeClient{eps: eps}
@@ -628,7 +607,7 @@ func (c *Cluster) Consensus(name string) (*ConsensusClient, error) {
 		for _, nd := range c.nodes {
 			eps = append(eps, consensus.New(nd, consensus.Options{
 				Name:  "cons/" + name,
-				Reads: c.QS.Reads, Writes: c.QS.Writes, C: c.viewC,
+				Reads: c.QS.Reads, Writes: c.QS.Writes, C: c.cfg.viewC,
 			}))
 		}
 		cc := &ConsensusClient{eps: eps}
@@ -645,17 +624,23 @@ func (c *Cluster) Consensus(name string) (*ConsensusClient, error) {
 	return obj.(*ConsensusClient), nil
 }
 
+// smrOptions returns the options of every log this cluster provisions,
+// bare (Log) or under a KV store: name scopes its wire topics.
+func (c *Cluster) smrOptions(name string) smr.Options {
+	return smr.Options{
+		Name: name, Slots: c.cfg.slots,
+		Reads: c.QS.Reads, Writes: c.QS.Writes, ViewC: c.cfg.viewC,
+		Batch: c.cfg.batch, Compaction: c.cfg.compaction,
+	}
+}
+
 // Log provisions (or returns) the named replicated command log and its
 // client. The slot window comes from WithSlots.
 func (c *Cluster) Log(name string) (*LogClient, error) {
 	obj, err := c.provision(KindLog, name, func() Object {
 		eps := make([]*smr.Log, 0, c.N())
 		for _, nd := range c.nodes {
-			eps = append(eps, smr.New(nd, smr.Options{
-				Name: "log/" + name, Slots: c.slots,
-				Reads: c.QS.Reads, Writes: c.QS.Writes, ViewC: c.viewC,
-				Batch: c.batch, Compaction: c.compaction,
-			}))
+			eps = append(eps, smr.New(nd, c.smrOptions("log/"+name)))
 		}
 		lc := &LogClient{eps: eps}
 		lc.init(c, KindLog, name, func() {
@@ -680,27 +665,23 @@ func (c *Cluster) KV(name string) (*KVClient, error) {
 	obj, err := c.provision(KindKV, name, func() Object {
 		eps := make([]*smr.KV, 0, c.N())
 		for _, nd := range c.nodes {
-			eps = append(eps, smr.NewKV(nd, smr.Options{
-				Name: "kv/" + name, Slots: c.slots,
-				Reads: c.QS.Reads, Writes: c.QS.Writes, ViewC: c.viewC,
-				Batch: c.batch, Compaction: c.compaction,
-			}))
+			eps = append(eps, smr.NewKV(nd, c.smrOptions("kv/"+name)))
 		}
-		kc := &KVClient{eps: eps, holder: int(c.leaseHolder)}
-		if c.lease > 0 {
+		kc := &KVClient{eps: eps, holder: int(c.cfg.leaseHolder)}
+		if c.cfg.lease > 0 {
 			// One manager per process, wired before the store takes
 			// traffic: every process gates appends on the holder while a
 			// lease is in force, the holder runs the renewal loop.
 			kc.leases = make([]*lease.Manager, len(eps))
 			for i, nd := range c.nodes {
 				var clk clock.Clock
-				if c.leaseClock != nil {
-					clk = c.leaseClock(failure.Proc(i))
+				if c.cfg.leaseClock != nil {
+					clk = c.cfg.leaseClock(failure.Proc(i))
 				}
 				kc.leases[i] = lease.NewManager(nd, eps[i], lease.Options{
 					Name:     "lease/kv/" + name,
-					Holder:   c.leaseHolder,
-					Duration: c.lease,
+					Holder:   c.cfg.leaseHolder,
+					Duration: c.cfg.lease,
 					Clock:    clk,
 				})
 			}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/register"
 	"repro/internal/snapshot"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // Config tunes the simulated clusters used by the experiments. The zero
@@ -36,10 +37,10 @@ func (c Config) withDefaults() Config {
 		c.Seed = 1
 	}
 	if c.MinDelay == 0 {
-		c.MinDelay = 10 * time.Microsecond
+		c.MinDelay = workload.DefaultMinDelay
 	}
 	if c.MaxDelay == 0 {
-		c.MaxDelay = 300 * time.Microsecond
+		c.MaxDelay = workload.DefaultMaxDelay
 	}
 	if c.Tick == 0 {
 		c.Tick = 2 * time.Millisecond

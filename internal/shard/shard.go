@@ -39,32 +39,13 @@ func WithRingSeed(seed uint64) Option {
 }
 
 // WithGroupOptions appends cluster options applied to every shard's group
-// (e.g. core.WithSlots, core.WithViewC). Do not pass core.WithNetwork here:
-// shards must not share one transport, or injecting a pattern into one
-// shard would fault them all.
+// (e.g. core.WithSlots, core.WithViewC). core.WithLease here gives each
+// group its own independent lease, so a pattern injected into one shard
+// lapses only that shard's fast read path. Do not pass core.WithNetwork
+// here: shards must not share one transport, or injecting a pattern into
+// one shard would fault them all.
 func WithGroupOptions(opts ...core.Option) Option {
-	return func(c *config) {
-		prev := c.group
-		c.group = func(shard int) []core.Option {
-			return append(prev(shard), opts...)
-		}
-	}
-}
-
-// WithLease enables leased local reads on every shard's group: each group
-// runs its own independent lease (per-shard holder, renewal loop and
-// fallback), so KV.SyncGet and MultiGet serve from shard-local leaseholders
-// with no consensus round while leases are valid, and a pattern injected
-// into one shard lapses only that shard's lease. Shorthand for
-// WithGroupOptions(core.WithLease(d)); combine with WithGroupOptionsFunc
-// and core.WithLeaseHolder for per-shard holder placement.
-func WithLease(d time.Duration) Option {
-	return func(c *config) {
-		prev := c.group
-		c.group = func(shard int) []core.Option {
-			return append(prev(shard), core.WithLease(d))
-		}
-	}
+	return WithGroupOptionsFunc(func(int) []core.Option { return opts })
 }
 
 // WithGroupOptionsFunc appends per-shard cluster options (e.g. a distinct
@@ -327,7 +308,7 @@ func (kv *KV) Get(ctx context.Context, key string) (string, bool, error) {
 }
 
 // SyncGet performs a linearizable read of key in its shard: a leased local
-// read at the shard's holder when WithLease is on and its lease is valid,
+// read at the shard's holder when core.WithLease is on and its lease is valid,
 // else a shared read barrier plus read at one routed process (see
 // core.KVClient.SyncGet).
 func (kv *KV) SyncGet(ctx context.Context, key string) (string, bool, error) {

@@ -120,8 +120,8 @@ func TestShardedLeasedReads(t *testing.T) {
 	qs := quorum.Figure1()
 	st, err := Open(qs.F, 2,
 		WithRingSeed(7),
-		WithLease(500*time.Millisecond),
 		WithGroupOptions(
+			core.WithLease(500*time.Millisecond),
 			core.WithQuorums(qs.Reads, qs.Writes),
 			core.WithSlots(64),
 			core.WithViewC(5*time.Millisecond),

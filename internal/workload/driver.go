@@ -2,8 +2,10 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,9 +17,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Default simulated per-hop delay bounds of the mem transport, exported so
-// front ends (gqsload) can validate partial overrides against the bounds
-// the engine will actually use.
+// Default simulated per-hop delay bounds of the mem transport.
 const (
 	DefaultMinDelay = 10 * time.Microsecond
 	DefaultMaxDelay = 300 * time.Microsecond
@@ -66,7 +66,8 @@ type Config struct {
 	// Dist selects the key distribution. Default uniform.
 	Dist DistKind
 	// ZipfS and ZipfV parameterize DistZipf (rank-k probability
-	// ~ (ZipfV+k)^-ZipfS). Zero accepts defaults (1.1, 1).
+	// ~ (ZipfV+k)^-ZipfS). Zero accepts defaults (1.1, 1). Requires
+	// DistZipf.
 	ZipfS, ZipfV float64
 	// ReadFraction is the probability an operation takes the read path.
 	// Zero accepts DefaultReadFraction (0.5); any negative value means
@@ -82,7 +83,7 @@ type Config struct {
 	Pattern int
 	// FaultFrac is the fraction of Duration after which Pattern is injected.
 	// Zero accepts the default 0.5; any negative value injects at the start
-	// of the measured window.
+	// of the measured window. Requires Pattern.
 	FaultFrac float64
 	// RestrictToUf, with Pattern set, confines clients to the pattern's
 	// termination component U_f, where the paper guarantees wait-freedom.
@@ -101,7 +102,7 @@ type Config struct {
 	// NemesisSeed seeds scenario compilation (flap-cycle placement): the
 	// event timeline is a pure function of (Nemesis, NemesisSeed,
 	// Duration), so any run replays from its report alone. Zero accepts
-	// Seed.
+	// Seed. Requires Nemesis.
 	NemesisSeed int64
 	// Shards partitions the kv keyspace across this many independent
 	// quorum-system groups behind a consistent-hash ring (internal/shard):
@@ -119,7 +120,7 @@ type Config struct {
 	// slots, truncates the acknowledged prefix and recycles the freed
 	// slots, so Slots bounds the slots in use at once, not the run's
 	// writes. Virgin slots beyond the log's activity frontier cost no
-	// per-view work or traffic at all. Default 4096.
+	// per-view work or traffic at all. Default 4096. Requires kv.
 	Slots int
 	// Batch caps the commands per group commit of the kv protocol's SMR
 	// logs (core.WithBatch): Sets arriving within BatchWindow coalesce into
@@ -142,11 +143,11 @@ type Config struct {
 	// per run for the lattice protocol. Each object is a backing snapshot of
 	// Nodes segment registers at every node; with delta propagation idle
 	// pool objects cost nothing on the wire, so the pool can be sized to
-	// the expected proposal count per node. Default 8.
+	// the expected proposal count per node. Default 8. Requires lattice.
 	LatticePool int
 	// SyncReads makes kv reads linearizable across nodes: each read commits
 	// a Sync barrier before Get (as expensive as a write), except where a
-	// read lease (Lease) lets the leaseholder skip the barrier.
+	// read lease (Lease) lets the leaseholder skip the barrier. Requires kv.
 	SyncReads bool
 	// Lease, when positive, grants node 0 of every shard group a read lease
 	// of this duration (core.WithLease): reads at the leaseholder are served
@@ -167,7 +168,7 @@ type Config struct {
 	// ViewC is the consensus view-duration constant (kv). Default 5ms.
 	ViewC time.Duration
 	// MinDelay and MaxDelay bound simulated per-hop delays (mem only).
-	// Defaults 10µs and 300µs.
+	// Defaults DefaultMinDelay and DefaultMaxDelay.
 	MinDelay, MaxDelay time.Duration
 	// Delay overrides the uniform MinDelay/MaxDelay model entirely when
 	// non-nil (mem only) — e.g. transport.PartialSync.
@@ -271,69 +272,117 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validate() error {
-	if c.Nodes < 2 {
-		return fmt.Errorf("need at least 2 nodes, got %d", c.Nodes)
+// Validate reports every way cfg is not a run Run can perform, before
+// anything is deployed. It is the one check of a Config: Run calls it, and
+// front ends (gqsload) call it on their parsed flags. A zero field is unset
+// and takes its default, so a field the run's protocol, network or mode
+// would ignore must be left zero rather than be silently dropped.
+func (c Config) Validate() error {
+	var bad []string
+	reject := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
+	d := c.withDefaults()
+	kv := d.Protocol == ProtocolKV
+	switch d.Protocol {
+	case ProtocolRegister, ProtocolSnapshot, ProtocolLattice, ProtocolKV:
+	default:
+		reject("unknown protocol %q", d.Protocol)
 	}
-	if c.Clients < 1 {
-		return fmt.Errorf("need at least 1 client, got %d", c.Clients)
+	if d.Net != NetMem && d.Net != NetTCP {
+		reject("unknown net %q (want %q or %q)", d.Net, NetMem, NetTCP)
 	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("duration must be positive, got %v", c.Duration)
+	if d.Nodes < 2 {
+		reject("need at least 2 nodes, got %d", d.Nodes)
 	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("warmup must be non-negative, got %v", c.Warmup)
+	if d.Clients < 1 {
+		reject("need at least 1 client, got %d", d.Clients)
 	}
-	if c.ReadFraction < 0 || c.ReadFraction > 1 {
-		return fmt.Errorf("read fraction must be in [0,1], got %v", c.ReadFraction)
+	if d.Rate < 0 {
+		reject("rate must be non-negative (0 = closed loop), got %v", d.Rate)
 	}
-	if c.Shards < 1 {
-		return fmt.Errorf("shards must be at least 1, got %d", c.Shards)
+	if d.Duration <= 0 {
+		reject("duration must be positive, got %v", d.Duration)
 	}
-	if c.Shards > 1 && c.Protocol != ProtocolKV {
-		return fmt.Errorf("sharding requires the kv protocol, got %q with %d shards", c.Protocol, c.Shards)
+	if d.Warmup < 0 {
+		reject("warmup must be non-negative, got %v", d.Warmup)
+	}
+	if _, err := NewDist(d.Dist, d.Keys, d.ZipfS, d.ZipfV, rand.New(rand.NewSource(1))); err != nil {
+		reject("%v", err)
+	}
+	if (c.ZipfS != 0 || c.ZipfV != 0) && d.Dist != DistZipf {
+		reject("zipf parameters apply to the zipf distribution only, got %q", d.Dist)
+	}
+	if d.ReadFraction < 0 || d.ReadFraction > 1 {
+		reject("read fraction must be in [0,1], got %v", d.ReadFraction)
+	}
+	if d.Shards < 1 {
+		reject("shards must be at least 1, got %d", d.Shards)
+	}
+	if d.Shards > 1 && !kv {
+		reject("sharding requires the kv protocol, got %q with %d shards", d.Protocol, d.Shards)
+	}
+	if (c.Slots != 0 || c.SyncReads || c.Lease != 0) && !kv {
+		reject("slots, sync reads and read leases require the kv protocol, got %q", d.Protocol)
+	}
+	if d.Lease < 0 {
+		reject("lease duration must be non-negative, got %v", d.Lease)
 	}
 	if c.Batch < 0 || c.Pipeline < 0 || c.BatchWindow < 0 {
-		return fmt.Errorf("batch, batch window and pipeline must be non-negative, got %d/%v/%d", c.Batch, c.BatchWindow, c.Pipeline)
+		reject("batch, batch window and pipeline must be non-negative, got %d/%v/%d", c.Batch, c.BatchWindow, c.Pipeline)
 	}
-	if (c.Batch > 0 || c.BatchWindow > 0 || c.Pipeline > 1) && c.Protocol != ProtocolKV {
-		return fmt.Errorf("batching/pipelining requires the kv protocol, got %q", c.Protocol)
+	if (c.Batch != 0 || c.BatchWindow != 0 || c.Pipeline != 0) && !kv {
+		reject("batching/pipelining requires the kv protocol, got %q", d.Protocol)
 	}
-	if c.Lease < 0 {
-		return fmt.Errorf("lease duration must be non-negative, got %v", c.Lease)
+	if c.LatticePool != 0 && d.Protocol != ProtocolLattice {
+		reject("a lattice pool requires the lattice protocol, got %q", d.Protocol)
 	}
-	if c.Lease > 0 && c.Protocol != ProtocolKV {
-		return fmt.Errorf("read leases require the kv protocol, got %q", c.Protocol)
+	if d.Pattern < 0 || d.Pattern > 4 {
+		reject("pattern must be in 0..4, got %d", d.Pattern)
 	}
-	if c.Pattern < 0 || c.Pattern > 4 {
-		return fmt.Errorf("pattern must be in 0..4, got %d", c.Pattern)
+	if d.Pattern > 0 {
+		if d.Nodes != failure.Figure1N {
+			reject("pattern injection needs the %d-process Figure-1 cluster, got %d nodes", failure.Figure1N, d.Nodes)
+		}
+		if d.Net != NetMem {
+			reject("pattern injection needs the mem network (TCP has no fault injector)")
+		}
+		if d.FaultFrac < 0 || d.FaultFrac >= 1 {
+			reject("fault fraction must be in [0,1), got %v", d.FaultFrac)
+		}
+	} else {
+		if d.RestrictToUf {
+			reject("restricting to U_f requires a pattern")
+		}
+		if c.FaultFrac != 0 {
+			reject("a fault fraction requires a pattern")
+		}
 	}
-	if c.Pattern > 0 {
-		if c.Nodes != failure.Figure1N {
-			return fmt.Errorf("pattern injection needs the %d-process Figure-1 cluster, got %d nodes", failure.Figure1N, c.Nodes)
+	if d.Nemesis != "" {
+		if !kv {
+			reject("nemesis scenarios require the kv protocol, got %q", d.Protocol)
 		}
-		if c.Net != NetMem {
-			return fmt.Errorf("pattern injection needs the mem network (TCP has no fault injector)")
+		if d.Net != NetMem {
+			reject("nemesis scenarios need the mem network (TCP has no fault surface)")
 		}
-		if c.FaultFrac < 0 || c.FaultFrac >= 1 {
-			return fmt.Errorf("fault fraction must be in [0,1), got %v", c.FaultFrac)
+		if d.Pattern > 0 {
+			reject("nemesis scenarios and pattern injection are mutually exclusive")
 		}
-	} else if c.RestrictToUf {
-		return fmt.Errorf("restricting to U_f requires a pattern")
+		if _, err := nemesis.Compile(d.Nemesis, d.NemesisSeed, d.Duration, d.Nodes); err != nil {
+			reject("%v", err)
+		}
+	} else if c.NemesisSeed != 0 {
+		reject("a nemesis seed requires a nemesis scenario")
 	}
-	if c.Nemesis != "" {
-		if c.Protocol != ProtocolKV {
-			return fmt.Errorf("nemesis scenarios require the kv protocol, got %q", c.Protocol)
-		}
-		if c.Net != NetMem {
-			return fmt.Errorf("nemesis scenarios need the mem network (TCP has no fault surface)")
-		}
-		if c.Pattern > 0 {
-			return fmt.Errorf("nemesis scenarios and pattern injection are mutually exclusive")
-		}
-		if _, err := nemesis.Compile(c.Nemesis, c.NemesisSeed, c.Duration, c.Nodes); err != nil {
-			return err
-		}
+	if (c.MinDelay != 0 || c.MaxDelay != 0) && d.Net != NetMem {
+		reject("min/max delay shape the simulated mem network only, got %q", d.Net)
+	}
+	if d.MinDelay < 0 || d.MaxDelay < 0 {
+		reject("min/max delay must be non-negative, got %v/%v", d.MinDelay, d.MaxDelay)
+	} else if d.MinDelay > d.MaxDelay {
+		reject("min delay %v exceeds max delay %v (unset bounds default to %v/%v)",
+			d.MinDelay, d.MaxDelay, DefaultMinDelay, DefaultMaxDelay)
+	}
+	if len(bad) > 0 {
+		return errors.New(strings.Join(bad, "; "))
 	}
 	return nil
 }
@@ -356,15 +405,10 @@ type shardAware interface {
 // context bounds the whole run (cancel it to stop early; operations in
 // flight finish or time out and the report covers what completed).
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("workload config: %w", err)
 	}
-	// Pre-flight the distribution so bad parameters surface as an error
-	// rather than silently idle clients.
-	if _, derr := NewDist(cfg.Dist, cfg.Keys, cfg.ZipfS, cfg.ZipfV, rand.New(rand.NewSource(1))); derr != nil {
-		return nil, derr
-	}
+	cfg = cfg.withDefaults()
 	tgt, err := newTarget(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("deploy workload target: %w", err)

@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -264,33 +265,69 @@ func TestRunKVLeased(t *testing.T) {
 	}
 }
 
-// TestRunValidation checks config validation surfaces bad setups.
+// TestRunValidation checks that Validate, the one check of a Config,
+// rejects every bad setup before Run deploys anything. The table holds each
+// flag combination gqsload rejects, as the Config its flags bind to (an
+// explicit 0 for -shards, -clients or -duration arrives as -1).
 func TestRunValidation(t *testing.T) {
-	bad := []Config{
-		{Protocol: "paxos"},
-		{Net: "carrier-pigeon"},
-		{Pattern: 7},
-		{Pattern: 1, Net: NetTCP},
-		{Pattern: 1, Nodes: 5},
-		{RestrictToUf: true},
-		{Dist: "pareto"},
-		{ReadFraction: 1.5},
-		{Batch: -1},
-		{Pipeline: -3},
-		{Protocol: ProtocolRegister, Batch: 8},
-		{Protocol: ProtocolSnapshot, Pipeline: 4},
-		{Protocol: ProtocolRegister, Lease: time.Second},
-		{Protocol: ProtocolKV, Lease: -time.Second},
+	nem := "crash(1)@0.5"
+	bad := []struct {
+		name string
+		cfg  Config
+	}{
+		{"unknown protocol", Config{Protocol: "paxos"}},
+		{"unknown net", Config{Net: "carrier-pigeon"}},
+		{"unknown dist", Config{Dist: "pareto"}},
+		{"pattern out of range", Config{Pattern: 7}},
+		{"pattern over tcp", Config{Pattern: 1, Net: NetTCP}},
+		{"pattern on 5 nodes", Config{Pattern: 1, Nodes: 5}},
+		{"uf without pattern", Config{RestrictToUf: true}},
+		{"fault fraction without pattern", Config{FaultFrac: 0.2}},
+		{"fault fraction at 1", Config{Pattern: 1, FaultFrac: 1}},
+		{"read fraction above 1", Config{ReadFraction: 1.5}},
+		{"shards zero", Config{Protocol: ProtocolKV, Shards: -1}},
+		{"shards negative", Config{Protocol: ProtocolKV, Shards: -2}},
+		{"shards with register", Config{Protocol: ProtocolRegister, Shards: 4}},
+		{"negative rate", Config{Rate: -5}},
+		{"no clients", Config{Clients: -1}},
+		{"zero duration", Config{Duration: -1}},
+		{"negative warmup", Config{Warmup: -time.Second}},
+		{"negative keys", Config{Keys: -3}},
+		{"zipf s without zipf", Config{Dist: DistUniform, ZipfS: 1.2}},
+		{"zipf s at 1", Config{Dist: DistZipf, ZipfS: 1}},
+		{"slots with register", Config{Protocol: ProtocolRegister, Slots: 64}},
+		{"sync reads with snapshot", Config{Protocol: ProtocolSnapshot, SyncReads: true}},
+		{"lattice pool with kv", Config{Protocol: ProtocolKV, LatticePool: 4}},
+		{"delay with tcp", Config{Net: NetTCP, MinDelay: time.Millisecond}},
+		{"min delay above default max", Config{MinDelay: time.Millisecond}},
+		{"inverted delay bounds", Config{MinDelay: 2 * time.Millisecond, MaxDelay: time.Millisecond}},
+		{"negative delay", Config{MaxDelay: -time.Millisecond}},
+		{"negative batch", Config{Protocol: ProtocolKV, Batch: -1}},
+		{"negative pipeline", Config{Protocol: ProtocolKV, Pipeline: -2}},
+		{"batch with register", Config{Protocol: ProtocolRegister, Batch: 8}},
+		{"pipeline with snapshot", Config{Protocol: ProtocolSnapshot, Pipeline: 4}},
+		{"lease with register", Config{Protocol: ProtocolRegister, Lease: time.Second}},
+		{"negative lease", Config{Protocol: ProtocolKV, Lease: -time.Second}},
+		{"nemesis with register", Config{Protocol: ProtocolRegister, Nemesis: nem}},
+		{"nemesis over tcp", Config{Protocol: ProtocolKV, Net: NetTCP, Nemesis: nem}},
+		{"nemesis with pattern", Config{Protocol: ProtocolKV, Pattern: 1, Nemesis: nem}},
+		{"nemesis seed without nemesis", Config{Protocol: ProtocolKV, NemesisSeed: 7}},
 	}
-	for i, cfg := range bad {
-		cfg.Duration = 10 * time.Millisecond
-		if _, err := Run(context.Background(), cfg); err == nil {
-			t.Errorf("case %d: bad config %+v accepted", i, cfg)
+	for _, tc := range bad {
+		cfg := tc.cfg
+		if cfg.Duration == 0 {
+			cfg.Duration = 10 * time.Millisecond
+		}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: bad config %+v passes Validate", tc.name, cfg)
+		}
+		if _, err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "workload config") {
+			t.Errorf("%s: Run error %v, want the Validate rejection", tc.name, err)
 		}
 	}
 	// A bare window is honoured: every kv write goes through group commit.
-	cfg := Config{Protocol: ProtocolKV, BatchWindow: 2 * time.Millisecond, Duration: 10 * time.Millisecond}.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg := Config{Protocol: ProtocolKV, BatchWindow: 2 * time.Millisecond, Duration: 10 * time.Millisecond}
+	if err := cfg.Validate(); err != nil {
 		t.Errorf("bare batch window rejected: %v", err)
 	}
 }

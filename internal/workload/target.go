@@ -82,7 +82,7 @@ func quorumSystemFor(n int) (quorum.System, error) {
 // clusterOptions builds the core options for one shard group. Groups differ
 // only by simulator seed, so concurrent shards do not replay identical delay
 // sequences.
-func clusterOptions(cfg Config, qs quorum.System, shard int) ([]core.Option, error) {
+func clusterOptions(cfg Config, qs quorum.System, shard int) []core.Option {
 	opts := []core.Option{
 		core.WithQuorums(qs.Reads, qs.Writes),
 		core.WithTick(cfg.Tick),
@@ -109,23 +109,18 @@ func clusterOptions(cfg Config, qs quorum.System, shard int) ([]core.Option, err
 			opts = append(opts, core.WithLeaseClocks(cfg.nemesisClocks))
 		}
 	}
-	switch cfg.Net {
-	case NetMem:
-		delay := transport.DelayModel(transport.UniformDelay{Min: cfg.MinDelay, Max: cfg.MaxDelay})
-		if cfg.Delay != nil {
-			delay = cfg.Delay
-		}
-		opts = append(opts, core.WithMem(
-			transport.WithDelay(delay),
-			transport.WithSeed(cfg.Seed+int64(shard)*104729),
-			transport.WithMode(transport.ModeRoute),
-		))
-	case NetTCP:
-		opts = append(opts, core.WithTCP())
-	default:
-		return nil, fmt.Errorf("unknown net %q (want %q or %q)", cfg.Net, NetMem, NetTCP)
+	if cfg.Net == NetTCP {
+		return append(opts, core.WithTCP())
 	}
-	return opts, nil
+	delay := transport.DelayModel(transport.UniformDelay{Min: cfg.MinDelay, Max: cfg.MaxDelay})
+	if cfg.Delay != nil {
+		delay = cfg.Delay
+	}
+	return append(opts, core.WithMem(
+		transport.WithDelay(delay),
+		transport.WithSeed(cfg.Seed+int64(shard)*104729),
+		transport.WithMode(transport.ModeRoute),
+	))
 }
 
 // openCluster provisions the shared substrate through the core adoption
@@ -135,11 +130,7 @@ func openCluster(cfg Config) (*core.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, err := clusterOptions(cfg, qs, 0)
-	if err != nil {
-		return nil, err
-	}
-	return core.Open(qs.F, opts...)
+	return core.Open(qs.F, clusterOptions(cfg, qs, 0)...)
 }
 
 // clusterTarget adapts a core.Cluster to the target interface.
@@ -241,16 +232,10 @@ func newKVTarget(cfg Config) (target, error) {
 			return skews[int(p)%len(skews)]
 		}
 	}
-	// Pre-flight the transport choice once; the per-shard closure below
-	// cannot surface errors.
-	if _, err := clusterOptions(cfg, qs, 0); err != nil {
-		return nil, err
-	}
 	st, err := shard.Open(qs.F, cfg.Shards,
 		shard.WithRingSeed(uint64(cfg.Seed)),
 		shard.WithGroupOptionsFunc(func(s int) []core.Option {
-			opts, _ := clusterOptions(cfg, qs, s)
-			return opts
+			return clusterOptions(cfg, qs, s)
 		}),
 	)
 	if err != nil {
