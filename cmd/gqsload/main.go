@@ -138,8 +138,8 @@ func run(args []string, w io.Writer) error {
 	// Config reads a zero field as unset. These flags show a non-zero
 	// default, so a 0 there was typed and is passed on as -1: write-only
 	// for -readfrac, injection at the start for -fault-at, and a rejected
-	// value for -shards, -clients and -duration. An absent -fault-at stays
-	// unset, so that its default applies only with a pattern.
+	// value for -nodes, -shards, -clients and -duration. An absent -fault-at
+	// stays unset, so that its default applies only with a pattern.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
@@ -150,6 +150,9 @@ func run(args []string, w io.Writer) error {
 	}
 	if cfg.ReadFraction == 0 {
 		cfg.ReadFraction = -1
+	}
+	if cfg.Nodes == 0 {
+		cfg.Nodes = -1
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = -1

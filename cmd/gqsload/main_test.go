@@ -81,6 +81,7 @@ func TestRunFlagCombinationValidation(t *testing.T) {
 		name string
 		args []string
 	}{
+		{"zero nodes", []string{"-nodes", "0", "-duration", "10ms"}},
 		{"shards < 1", []string{"-protocol", "kv", "-shards", "0", "-duration", "10ms"}},
 		{"shards negative", []string{"-protocol", "kv", "-shards", "-2", "-duration", "10ms"}},
 		{"shards with register", []string{"-protocol", "register", "-shards", "4", "-duration", "10ms"}},

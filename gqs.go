@@ -108,12 +108,10 @@ var (
 	NewMemNetwork = transport.NewMem
 	// NewTCPNetwork creates one process's TCP transport endpoint.
 	NewTCPNetwork = transport.NewTCP
-	// WithDelay / WithSeed / WithMode / WithoutForwarding configure
-	// NewMemNetwork.
-	WithDelay         = transport.WithDelay
-	WithSeed          = transport.WithSeed
-	WithMode          = transport.WithMode
-	WithoutForwarding = transport.WithoutForwarding
+	// WithDelay / WithSeed / WithMode configure NewMemNetwork.
+	WithDelay = transport.WithDelay
+	WithSeed  = transport.WithSeed
+	WithMode  = transport.WithMode
 )
 
 // Protocol endpoint types.
@@ -289,9 +287,8 @@ var (
 	OpenSharded = shard.Open
 	// NewShardRing builds a standalone ring (shards, virtual nodes, seed).
 	NewShardRing = shard.NewRing
-	// WithVirtualNodes / WithRingSeed shape the ring; WithGroupOptions and
-	// WithGroupOptionsFunc pass cluster options to every (or each) group.
-	WithVirtualNodes     = shard.WithVirtualNodes
+	// WithRingSeed shapes the ring; WithGroupOptions and WithGroupOptionsFunc
+	// pass cluster options to every (or each) group.
 	WithRingSeed         = shard.WithRingSeed
 	WithGroupOptions     = shard.WithGroupOptions
 	WithGroupOptionsFunc = shard.WithGroupOptionsFunc

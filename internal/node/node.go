@@ -108,15 +108,16 @@ func (n *Node) onMessage(from failure.Proc, payload []byte) {
 	})
 }
 
-// enqueue appends work to the mailbox ring, growing it when full. The ring
-// reuses its backing array in steady state; the seed's queue[1:] pop left
-// the backing array's head behind, forcing a reallocation per wrap under
-// sustained load.
-func (n *Node) enqueue(fn func()) {
+// enqueue appends work to the mailbox ring, growing it when full, and
+// reports whether it did: after Stop nothing is queued. The ring reuses its
+// backing array in steady state; the seed's queue[1:] pop left the backing
+// array's head behind, forcing a reallocation per wrap under sustained
+// load.
+func (n *Node) enqueue(fn func()) bool {
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
-		return
+		return false
 	}
 	if n.count == len(n.ring) {
 		grown := make([]func(), max(16, 2*len(n.ring)))
@@ -130,10 +131,12 @@ func (n *Node) enqueue(fn func()) {
 	n.count++
 	n.mu.Unlock()
 	n.cond.Signal()
+	return true
 }
 
-// Do runs fn on the event loop asynchronously.
-func (n *Node) Do(fn func()) { n.enqueue(fn) }
+// Do runs fn on the event loop asynchronously. It reports false, and fn
+// never runs, once the node has stopped; a queued fn always runs.
+func (n *Node) Do(fn func()) bool { return n.enqueue(fn) }
 
 // Call runs fn on the event loop and waits for it to complete. It must not
 // be invoked from the event loop itself (it would deadlock); protocol

@@ -219,6 +219,9 @@ func TestStopIdempotentAndReleasesCall(t *testing.T) {
 	n := New(0, net)
 	n.Stop()
 	n.Stop()
+	if n.Do(func() {}) {
+		t.Fatal("Do after Stop reported its closure queued")
+	}
 	// Call after stop must not hang.
 	done := make(chan struct{})
 	go func() {

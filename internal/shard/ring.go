@@ -23,9 +23,10 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the number of ring points per shard when none is
-// configured. 64 points per shard keep the keyspace split within a few
-// percent of even for small shard counts.
+// DefaultVirtualNodes is the number of ring points per shard of every
+// store Open builds, and of a NewRing given vnodes <= 0. 64 points per
+// shard keep the keyspace split within a few percent of even for small
+// shard counts.
 const DefaultVirtualNodes = 64
 
 // ringPoint is one virtual node on the ring.

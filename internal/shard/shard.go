@@ -18,19 +18,12 @@ var ErrStoreClosed = errors.New("sharded store closed")
 
 // config collects the functional options of Open.
 type config struct {
-	vnodes   int
 	ringSeed uint64
 	group    func(shard int) []core.Option
 }
 
 // Option configures Open.
 type Option func(*config)
-
-// WithVirtualNodes sets the number of ring points per shard (default
-// DefaultVirtualNodes).
-func WithVirtualNodes(v int) Option {
-	return func(c *config) { c.vnodes = v }
-}
 
 // WithRingSeed sets the consistent-hash seed. Every client of one store must
 // use the same seed (and shard count) to derive the same key mapping.
@@ -93,7 +86,7 @@ func Open(failProne failure.System, shards int, opts ...Option) (*Store, error) 
 		}
 		groups = append(groups, cl)
 	}
-	return &Store{ring: NewRing(shards, cfg.vnodes, cfg.ringSeed), groups: groups}, nil
+	return &Store{ring: NewRing(shards, DefaultVirtualNodes, cfg.ringSeed), groups: groups}, nil
 }
 
 // Shards returns the number of shard groups.

@@ -3,7 +3,6 @@ package smr
 import (
 	"cmp"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -17,7 +16,10 @@ import (
 // cut into a sub-batch, and the view's leader packs the sub-batches of
 // every process into one slot value that a single consensus decision
 // covers, amortizing the round trip over every command in it. MaxOps 1
-// gives each command its own slot.
+// gives each command its own slot. Every step runs on the node loop: an
+// append hands its command to the loop's buffer, and the loop cuts
+// sub-batches while the process has fewer than Pipeline of them unapplied,
+// so cut boundaries depend only on the order of the loop's events.
 //
 // Figure 6's consensus is leader-driven, so only the leader of this
 // process's current view claims log slots. A non-leader sends each cut to
@@ -62,14 +64,14 @@ import (
 // as the pipeline has room). All processes of one log must agree on it.
 type BatchOptions struct {
 	// Window bounds how long the first buffered command waits for company
-	// when the log is otherwise quiet: a batch forming while no drain is
-	// active flushes when the window expires (or a cap fills it first).
+	// when the log is otherwise quiet: a batch forming while no flush is
+	// under way is cut when the window expires (or a cap fills it first).
 	// Under sustained load the window is a ceiling, not a floor — while
-	// sub-batches are being cut, arrivals flush as soon as the pipeline has
-	// room, so light-load appends never wait longer than the window. The
-	// leader bounds its own gathering the same way: with claims in flight,
-	// queued sub-batches wait at most one window for company before a new
-	// slot is claimed (see pump). Zero skips both waits.
+	// sub-batches are being cut, arrivals are cut as soon as the pipeline
+	// has room, so light-load appends never wait longer than the window.
+	// The leader bounds its own gathering the same way: with claims in
+	// flight, queued sub-batches wait at most one window for company before
+	// a new slot is claimed (see pump). Zero skips both waits.
 	Window time.Duration
 	// MaxOps caps the commands per cut and per slot value; a full buffer
 	// flushes immediately. Defaults to DefaultBatchMaxOps; 1 puts each
@@ -83,10 +85,6 @@ type BatchOptions struct {
 	// decided and each process's sub-batches that are not yet applied.
 	// Defaults to DefaultPipeline.
 	Pipeline int
-	// Clock supplies the window timer and the close-time drain bound.
-	// Defaults to the real clock; tests inject clock.NewFake to drive
-	// window expiry deterministically.
-	Clock clock.Clock
 }
 
 // Group-commit defaults.
@@ -106,7 +104,6 @@ func (o BatchOptions) withDefaults() BatchOptions {
 	if o.Pipeline <= 0 {
 		o.Pipeline = DefaultPipeline
 	}
-	o.Clock = clock.Or(o.Clock)
 	return o
 }
 
@@ -144,261 +141,201 @@ type queuedSub struct {
 	view int64  // the view it was sent for
 }
 
-// batcher is the append buffer of one log endpoint. Enqueues come from
-// client goroutines (not the node loop); a drainer goroutine cuts
-// sub-batches and hands them to the loop, bounded by the in-flight
-// semaphore.
+// batcher is the group-commit state of one log endpoint. All of it is
+// confined to the node loop, like the rest of the log's state.
+//
+// The origin side: pending is the append buffer, the commands handed to the
+// loop and not yet cut, and bytes their size. flushing is set by a flush
+// trigger (a cap, the window, the cut event of a log without a window, Stop)
+// and holds while the buffer is non-empty; while it holds, a sub-batch is
+// cut whenever fewer than Pipeline of this process's sub-batches are
+// unapplied. out holds those sub-batches by seq, and seq is the last cut's.
+// drained, set by Stop, is closed once the buffer and out are both empty.
+//
+// The leader side: queue holds the sub-batches waiting here for a slot
+// claim, and queued the key of every sub-batch queued or inside a claimed
+// value here, so a re-sent copy is not packed twice. ripe is set once the
+// queue's oldest entry has waited out the window. next is the next slot
+// this process claims while it leads, claims the number of its claimed
+// slots not yet decided, and claimed counts claims ever made.
 type batcher struct {
-	l    *Log
 	opts BatchOptions
 
-	mu           sync.Mutex
-	pending      []pendingOp
-	pendingBytes int
-	timer        clock.Timer // window timer; nil when no batch is forming
-	// timerGen invalidates stale window timers: a fired timer blocked on mu
-	// while the buffer drained and re-formed must not clobber the fresh
-	// batch's timer or flush it early. Every arm/disarm bumps the
-	// generation; onWindow acts only when its generation is still current.
-	timerGen uint64
-	draining bool
-	closed   bool
-	seq      uint64 // the last cut's seq; only the (single) drainer touches it
+	pending  []pendingOp
+	bytes    int
+	flushing bool
+	window   loopTimer
+	seq      uint64
+	out      map[uint64]*subBatch
+	drained  chan struct{}
 
-	inflight chan struct{} // semaphore: this process's unapplied sub-batches
-	wg       sync.WaitGroup
-
-	// Loop-confined. out holds this process's sub-batches not yet applied,
-	// by seq. queue holds the sub-batches waiting here for a slot claim,
-	// and queued the key of every sub-batch queued or inside a claimed
-	// value here, so a re-sent copy is not packed twice. ripe is set once
-	// the queue's oldest entry has waited out the window (ripeGen guards
-	// the window timer like timerGen, ripeArmed marks it pending). next is
-	// the next slot this process claims while it leads, claims the number
-	// of its claimed slots not yet decided, and claimed counts claims ever
-	// made.
-	out       map[uint64]*subBatch
-	queue     []queuedSub
-	queued    map[subKey]struct{}
-	ripe      bool
-	ripeArmed bool
-	ripeGen   uint64
-	next      int64
-	claims    int
-	claimed   uint64
+	queue      []queuedSub
+	queued     map[subKey]struct{}
+	ripe       bool
+	ripeWindow loopTimer
+	next       int64
+	claims     int
+	claimed    uint64
 }
 
-func newBatcher(l *Log, opts BatchOptions) *batcher {
-	opts = opts.withDefaults()
+func newBatcher(opts BatchOptions) *batcher {
 	return &batcher{
-		l:        l,
-		opts:     opts,
-		inflight: make(chan struct{}, opts.Pipeline),
-		out:      make(map[uint64]*subBatch),
-		queued:   make(map[subKey]struct{}),
+		opts:   opts.withDefaults(),
+		out:    make(map[uint64]*subBatch),
+		queued: make(map[subKey]struct{}),
 	}
 }
 
-// enqueue buffers cmd and returns its completion channel. Flush triggers:
-// the count cap, the byte cap, the window timer armed when the buffer goes
-// non-empty, and close-time drain.
-func (b *batcher) enqueue(cmd string) chan AppendResult {
+// loopTimer is one group-commit window. Its expiry runs on the node loop,
+// and disarming it (or arming it anew) voids an expiry that is already on
+// its way there. Loop-confined.
+type loopTimer struct {
+	t   clock.Timer // nil while disarmed
+	gen uint64
+}
+
+// arm starts the window w; fn runs on the node loop when it expires. Runs on
+// the node loop.
+func (l *Log) arm(w *loopTimer, fn func()) {
+	w.gen++
+	gen := w.gen
+	w.t = l.clock.AfterFunc(l.batch.opts.Window, func() {
+		l.n.Do(func() {
+			if gen == w.gen {
+				w.t = nil
+				fn()
+			}
+		})
+	})
+}
+
+// disarm cancels the window w if it is armed.
+func (w *loopTimer) disarm() {
+	if w.t != nil {
+		w.t.Stop()
+		w.t = nil
+		w.gen++
+	}
+}
+
+// enqueue hands cmd to the node loop's append buffer and returns its
+// completion channel. After Stop, or once the node has stopped, it fails at
+// once.
+func (l *Log) enqueue(cmd string) chan AppendResult {
 	done := make(chan AppendResult, 1)
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	op := pendingOp{cmd: cmd, done: done}
+	if l.closed.Load() || !l.n.Do(func() { l.buffer(op) }) {
 		done <- AppendResult{Err: ErrStopped}
-		return done
 	}
-	wasEmpty := len(b.pending) == 0
-	b.pending = append(b.pending, pendingOp{cmd: cmd, done: done})
-	b.pendingBytes += len(cmd)
-	switch {
-	case len(b.pending) >= b.opts.MaxOps || b.pendingBytes >= b.opts.MaxBytes:
-		b.startDrainLocked()
-	case wasEmpty && b.opts.Window > 0:
-		b.timerGen++
-		gen := b.timerGen
-		b.timer = b.opts.Clock.AfterFunc(b.opts.Window, func() { b.onWindow(gen) })
-	case wasEmpty:
-		// No window: flush as soon as the drainer gets an in-flight slot.
-		b.startDrainLocked()
-	}
-	b.mu.Unlock()
 	return done
 }
 
-// remove drops a still-buffered op (identified by its completion channel)
-// from the pending buffer, reporting whether it was removed before any
-// proposal. A caller abandoning a canceled Append uses it to guarantee the
-// command cannot commit later — only ops already cut into a sub-batch keep
-// the "may still commit" semantics of an in-flight proposal.
-func (b *batcher) remove(done chan AppendResult) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, op := range b.pending {
-		if op.done == done {
-			b.pending = append(b.pending[:i], b.pending[i+1:]...)
-			b.pendingBytes -= len(op.cmd)
-			if len(b.pending) == 0 && b.timer != nil {
-				// The batch the timer was armed for is gone; release the
-				// timer now rather than leaving it parked for up to a full
-				// window (the generation guard already prevents a misfire).
-				b.timer.Stop()
-				b.timer = nil
-				b.timerGen++
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// onWindow fires when the oldest buffered command has waited out the
-// window. gen guards against stale timers (see timerGen).
-func (b *batcher) onWindow(gen uint64) {
-	b.mu.Lock()
-	if gen != b.timerGen {
-		b.mu.Unlock()
-		return // a newer batch armed its own timer; not ours to flush
-	}
-	b.timer = nil
-	b.timerGen++
-	if len(b.pending) > 0 && !b.closed {
-		b.startDrainLocked()
-	}
-	b.mu.Unlock()
-}
-
-// startDrainLocked ensures a drainer goroutine is running. Callers hold mu.
-func (b *batcher) startDrainLocked() {
-	if b.draining {
+// buffer adds one command to the append buffer and sees that the buffer
+// gets flushed: at once when a cap fills or the log is stopping, after the
+// window, or, with no window, by a cut event of its own, queued behind the
+// commands already in the mailbox so that a burst coalesces. Runs on the
+// node loop.
+func (l *Log) buffer(op pendingOp) {
+	b := l.batch
+	if l.stopped {
+		op.done <- AppendResult{Err: ErrStopped}
 		return
 	}
-	b.draining = true
-	b.wg.Add(1)
-	go b.drain()
+	b.pending = append(b.pending, op)
+	b.bytes += len(op.cmd)
+	switch {
+	case b.flushing:
+		// The next cut, due once the pipeline has room, takes it.
+	case len(b.pending) >= b.opts.MaxOps || b.bytes >= b.opts.MaxBytes || l.closed.Load():
+		l.flush()
+	case len(b.pending) > 1:
+		// The buffer's flush is already scheduled.
+	case b.opts.Window > 0:
+		l.arm(&b.window, l.flush)
+	default:
+		l.n.Do(l.flush)
+	}
 }
 
-// drain cuts cap-sized sub-batches off the buffer and hands each to the
-// node loop (submit), blocking on the in-flight semaphore for backpressure:
-// while Pipeline sub-batches are unapplied, arrivals keep accumulating into
-// the next cut.
-func (b *batcher) drain() {
-	defer b.wg.Done()
-	for {
-		b.mu.Lock()
-		if len(b.pending) == 0 {
-			if b.timer != nil {
-				b.timer.Stop()
-				b.timer = nil
-				b.timerGen++
-			}
-			b.draining = false
-			b.mu.Unlock()
-			return
-		}
-		n := len(b.pending)
-		if n > b.opts.MaxOps {
-			n = b.opts.MaxOps
-		}
+// withdraw drops a still-buffered command, named by its completion channel,
+// so that an Append abandoned by its context cannot commit later. A command
+// already cut keeps the "may still commit" semantics of a proposal. Runs on
+// the node loop.
+func (l *Log) withdraw(done chan AppendResult) {
+	b := l.batch
+	i := slices.IndexFunc(b.pending, func(op pendingOp) bool { return op.done == done })
+	if i < 0 {
+		return
+	}
+	b.bytes -= len(b.pending[i].cmd)
+	b.pending = slices.Delete(b.pending, i, i+1)
+	if len(b.pending) == 0 {
+		b.window.disarm() // the batch it timed is gone
+	}
+	l.cut()
+}
+
+// flush starts cutting the append buffer. Runs on the node loop.
+func (l *Log) flush() {
+	b := l.batch
+	b.window.disarm()
+	b.flushing = len(b.pending) > 0
+	l.cut()
+}
+
+// cut cuts cap-sized sub-batches off the buffer while it is flushing and
+// fewer than Pipeline of this process's sub-batches are unapplied, and
+// routes each towards the leader. While the pipeline is full, arrivals
+// accumulate into the next cut. Seqs are numbered in cut order, so when seq
+// s is cut every seq up to s-Pipeline has been applied here, which bounds
+// the applied-seq table (see originSeqs). Runs on the node loop.
+func (l *Log) cut() {
+	b := l.batch
+	for b.flushing && len(b.pending) > 0 && len(b.out) < b.opts.Pipeline && !l.stopped {
 		// The byte cap bounds the cut too, not just the flush trigger:
 		// arrivals accumulating behind a full pipeline must not fuse into
-		// one oversized consensus value. Matching the enqueue trigger, the
+		// one oversized consensus value. Matching the buffer's trigger, the
 		// command that crosses the cap stays in the cut, so a single
 		// over-limit command still ships (alone).
-		cut, bytes := 0, 0
-		for cut < n {
-			bytes += len(b.pending[cut].cmd)
-			cut++
-			if bytes >= b.opts.MaxBytes {
-				break
-			}
+		n, bytes := 0, 0
+		for n < len(b.pending) && n < b.opts.MaxOps && bytes < b.opts.MaxBytes {
+			bytes += len(b.pending[n].cmd)
+			n++
 		}
-		n = cut
-		ops := make([]pendingOp, n)
-		copy(ops, b.pending)
-		rest := copy(b.pending, b.pending[n:])
-		for i := rest; i < len(b.pending); i++ {
-			b.pending[i] = pendingOp{} // release channel references
-		}
-		b.pending = b.pending[:rest]
-		b.pendingBytes -= bytes // the cut loop summed exactly what left
-		b.mu.Unlock()
-
-		// Seqs are numbered in semaphore order: when seq s is cut, every
-		// seq up to s-Pipeline has been applied here, which bounds the
-		// applied-seq table (see originSeqs).
-		b.inflight <- struct{}{}
-		b.wg.Add(1)
-		b.seq++
+		ops := slices.Clone(b.pending[:n])
 		cmds := make([]string, n)
 		for i, op := range ops {
 			cmds[i] = op.cmd
 		}
+		rest := copy(b.pending, b.pending[n:])
+		clear(b.pending[rest:]) // release channel references
+		b.pending = b.pending[:rest]
+		b.bytes -= bytes
+		b.seq++
 		sb := &subBatch{seq: b.seq, ops: ops, val: wire.EncodeBatch(wire.SubBatch{
-			Origin: uint64(b.l.n.ID()), Seq: b.seq, Cmds: cmds,
+			Origin: uint64(l.n.ID()), Seq: b.seq, Cmds: cmds,
 		})}
-		ran := false
-		b.l.n.Call(func() { ran = true; b.l.submit(sb) })
-		if !ran {
-			// The node stopped: its loop has exited and runs nothing more.
-			b.finish(sb, AppendResult{Err: ErrStopped})
+		b.out[sb.seq] = sb
+		l.route([]queuedSub{{key: subKey{uint64(l.n.ID()), sb.seq}, n: n, val: sb.val, view: l.view}})
+	}
+	if len(b.pending) == 0 {
+		b.flushing = false
+		if b.drained != nil && len(b.out) == 0 {
+			close(b.drained)
+			b.drained = nil
 		}
 	}
 }
 
-// finish completes every op of a sub-batch — res.Index is the first
-// command's index — and releases its in-flight place. Each sub-batch is
-// finished exactly once, by whoever removed it from out (or never put it
-// there).
-func (b *batcher) finish(sb *subBatch, res AppendResult) {
-	for i, op := range sb.ops {
+// finish completes ops — res.Index is the first op's index. Each op is
+// finished exactly once, by whoever removed it from the buffer or out.
+func finish(ops []pendingOp, res AppendResult) {
+	for i, op := range ops {
 		r := res
 		if r.Err == nil {
 			r.Index += i
 		}
 		op.done <- r
-	}
-	<-b.inflight
-	b.wg.Done()
-}
-
-// drainAndClose flushes the buffer, waits (bounded) for this process's
-// sub-batches to be applied, and rejects subsequent enqueues. Called from
-// Log.Stop before the consensus engine stops, so buffered commands get their
-// commit attempt; Stop fails whatever is still unapplied.
-func (b *batcher) drainAndClose(wait time.Duration) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.closed = true
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-		b.timerGen++
-	}
-	if len(b.pending) > 0 && !b.draining {
-		// closed only blocks new enqueues; the drainer still cuts and
-		// submits whatever is buffered.
-		b.draining = true
-		b.wg.Add(1)
-		go b.drain()
-	}
-	b.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		b.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-b.opts.Clock.After(wait):
-		// A sub-batch that cannot commit (no quorum) must not wedge Stop,
-		// which fails what is left; stopping the engine releases the claims.
 	}
 }
 
@@ -411,18 +348,6 @@ func (l *Log) leads(v int64) bool {
 // leaderOf returns the leader of view v.
 func (l *Log) leaderOf(v int64) failure.Proc {
 	return failure.Proc(viewsync.Leader(viewsync.View(v), l.n.ClusterSize()))
-}
-
-// submit takes a fresh cut of this process's commands into out and routes
-// it towards the leader. Runs on the node loop.
-func (l *Log) submit(sb *subBatch) {
-	b := l.batch
-	if l.stopped {
-		b.finish(sb, AppendResult{Err: ErrStopped})
-		return
-	}
-	b.out[sb.seq] = sb
-	l.route([]queuedSub{{key: subKey{uint64(l.n.ID()), sb.seq}, n: len(sb.ops), val: sb.val, view: l.view}})
 }
 
 // route queues sub-batches for a claim here when this process leads its
@@ -507,14 +432,16 @@ func (l *Log) onFwd(from failure.Proc, m wire.Message) {
 func (l *Log) pump() {
 	b := l.batch
 	defer func() {
-		if len(b.queue) == 0 && (b.ripe || b.ripeArmed) {
-			b.ripe, b.ripeArmed = false, false
-			b.ripeGen++
+		if len(b.queue) == 0 {
+			b.ripe = false
+			b.ripeWindow.disarm()
 		}
 	}()
 	for !l.stopped && l.leads(l.view) && b.claims < b.opts.Pipeline && len(b.queue) > 0 {
 		if !b.ripe && b.claims > 0 && !l.queueFills() {
-			l.armRipe()
+			if b.ripeWindow.t == nil {
+				l.arm(&b.ripeWindow, func() { b.ripe = true; l.pump() })
+			}
 			return
 		}
 		if b.next < l.next {
@@ -579,27 +506,6 @@ func (l *Log) queueFills() bool {
 	return ops >= b.opts.MaxOps || bytes >= b.opts.MaxBytes
 }
 
-// armRipe starts the window of a claim queue that just became non-empty.
-// Runs on the node loop.
-func (l *Log) armRipe() {
-	b := l.batch
-	if b.ripeArmed {
-		return
-	}
-	b.ripeArmed = true
-	b.ripeGen++
-	gen := b.ripeGen
-	b.opts.Clock.AfterFunc(b.opts.Window, func() {
-		l.n.Do(func() {
-			if gen != b.ripeGen {
-				return // the queue drained meanwhile; not this window
-			}
-			b.ripe, b.ripeArmed = true, false
-			l.pump()
-		})
-	})
-}
-
 // claimDone settles one of this process's claims once its slot decided (or
 // the proposal was abandoned at Stop). A won claim's sub-batches stay
 // marked queued until the fold applies them; a lost claim's go back to the
@@ -634,14 +540,17 @@ func (l *Log) claimDone(val, v string, err error, take []queuedSub) {
 	l.route(lost)
 }
 
-// failOut fails every sub-batch of this process not yet applied. Runs on
-// the node loop, or after it has exited.
-func (l *Log) failOut(err error) {
+// failAppends fails every buffered command and every sub-batch of this
+// process not yet applied. Runs on the node loop, or after it has exited.
+func (l *Log) failAppends(err error) {
 	b := l.batch
 	for seq, sb := range b.out {
 		delete(b.out, seq)
-		b.finish(sb, AppendResult{Err: err})
+		finish(sb.ops, AppendResult{Err: err})
 	}
+	finish(b.pending, AppendResult{Err: err})
+	b.pending, b.bytes, b.flushing = nil, 0, false
+	b.window.disarm()
 }
 
 // enterViewBatch is the batching part of view entry: a process that does
@@ -684,8 +593,9 @@ type ownDone struct {
 
 // completeOwn completes one of this process's sub-batches at its first
 // apply. The decided prefix already covers the slot; the append gate runs
-// before the results are sent, off the loop when one is installed. Runs on
-// the node loop.
+// before the results are sent, off the loop when one is installed. The
+// sub-batch leaves out, and so frees its pipeline place, before the gate
+// runs. Runs on the node loop.
 func (l *Log) completeOwn(d ownDone) {
 	b := l.batch
 	sb := b.out[d.seq]
@@ -695,12 +605,12 @@ func (l *Log) completeOwn(d ownDone) {
 	delete(b.out, d.seq)
 	res := AppendResult{Slot: d.slot, Index: d.index}
 	if l.gate.Load() == nil {
-		b.finish(sb, res)
+		finish(sb.ops, res)
 		return
 	}
 	go func() {
 		l.runGate(d.slot)
-		b.finish(sb, res)
+		finish(sb.ops, res)
 	}()
 }
 
@@ -710,10 +620,11 @@ func (l *Log) completeOwn(d ownDone) {
 // oldest first, so a process restored by snapshot-install can complete the
 // appends the install covers.
 //
-// Seqs are cut in order of the origin's in-flight semaphore, so when seq s
-// is applied, every seq up to s-Pipeline was applied before it (the origin
-// applied those before cutting s, and s cannot land in a slot that was
-// already decided then). Above therefore holds fewer than Pipeline seqs,
+// Seqs are numbered in cut order, and the origin cuts only while fewer than
+// Pipeline of its sub-batches are unapplied, so when seq s is applied, every
+// seq up to s-Pipeline was applied before it (the origin applied those
+// before cutting s, and s cannot land in a slot that was already decided
+// then). Above therefore holds fewer than Pipeline seqs,
 // and the origin's sub-batches an install can cover are among its last
 // Pipeline applied — the length Last is kept at.
 //

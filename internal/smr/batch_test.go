@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/failure"
 	"repro/internal/node"
 	"repro/internal/quorum"
@@ -17,8 +18,9 @@ import (
 )
 
 // newBatchedCluster builds the Figure-1 log cluster with group-commit
-// batching configured per bo.
-func newBatchedCluster(t *testing.T, slots int, bo BatchOptions) *smrCluster {
+// batching configured per bo; each of with then edits every process's
+// options.
+func newBatchedCluster(t *testing.T, slots int, bo BatchOptions, with ...func(*Options)) *smrCluster {
 	t.Helper()
 	qs := quorum.Figure1()
 	c := &smrCluster{net: transport.NewMem(4,
@@ -27,19 +29,26 @@ func newBatchedCluster(t *testing.T, slots int, bo BatchOptions) *smrCluster {
 	for i := 0; i < 4; i++ {
 		nd := node.New(failure.Proc(i), c.net)
 		c.nodes = append(c.nodes, nd)
-		c.logs = append(c.logs, New(nd, Options{
+		opts := Options{
 			Slots: slots, Reads: qs.Reads, Writes: qs.Writes,
 			ViewC: 15 * time.Millisecond, Batch: bo,
-		}))
+		}
+		for _, f := range with {
+			f(&opts)
+		}
+		c.logs = append(c.logs, New(nd, opts))
 	}
 	return c
 }
 
 // TestBatchWindowCoalesces: commands arriving within the window share one
 // slot (one consensus decision covered them all) and complete with their
-// in-batch indices.
+// in-batch indices. A fake clock expires the window, so the commands land
+// inside it however slowly they are submitted.
 func TestBatchWindowCoalesces(t *testing.T) {
-	c := newBatchedCluster(t, 8, BatchOptions{Window: 250 * time.Millisecond, MaxOps: 16})
+	fc := clock.NewFake()
+	c := newBatchedCluster(t, 8, BatchOptions{Window: 250 * time.Millisecond, MaxOps: 16},
+		func(o *Options) { o.Clock = fc })
 	defer c.stop()
 	ctx := ctxSec(t, 60)
 
@@ -48,6 +57,10 @@ func TestBatchWindowCoalesces(t *testing.T) {
 	for i := 0; i < n; i++ {
 		chans[i] = c.logs[0].AppendAsync(ctx, fmt.Sprintf("win-%d", i))
 	}
+	// The first command armed the window. Every command reached the
+	// mailbox before the expiry can, so all of them are buffered by then.
+	fc.BlockUntil(1)
+	fc.Advance(250 * time.Millisecond)
 	results := make([]AppendResult, n)
 	for i, ch := range chans {
 		results[i] = <-ch
@@ -75,6 +88,75 @@ func TestBatchWindowCoalesces(t *testing.T) {
 		if cmd != fmt.Sprintf("win-%d", i) {
 			t.Fatalf("prefix[%d] = %q", i, cmd)
 		}
+	}
+}
+
+// TestGatedCompletionFreesPipelinePlace: a completion held by the append
+// gate does not hold a pipeline place. With Pipeline 1, append A's
+// sub-batch leaves the pipeline when it is applied, before its gate
+// returns, so append B is cut and decided while A's gate still blocks.
+func TestGatedCompletionFreesPipelinePlace(t *testing.T) {
+	c := newBatchedCluster(t, 8, BatchOptions{MaxOps: 1, Pipeline: 1})
+	defer c.stop()
+	ctx := ctxSec(t, 60)
+
+	entered, release := make(chan int64, 2), make(chan struct{})
+	c.logs[0].SetGate(func(slot int64) {
+		entered <- slot
+		<-release
+	})
+	decidedAt := func(p int, want []string) bool {
+		got, err := c.logs[p].DecidedPrefix(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Equal(got, want)
+	}
+	waitDecided := func(want []string, what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for p := range c.logs {
+			for !decidedAt(p, want) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: p%d never decided %q", what, p, want)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+	}
+
+	a := c.logs[0].AppendAsync(ctx, "a")
+	waitDecided([]string{"a"}, "append A")
+	<-entered // A's completion waits in the gate
+	b := c.logs[0].AppendAsync(ctx, "b")
+	waitDecided([]string{"a", "b"}, "append B behind A's gated completion")
+	select {
+	case r := <-a:
+		t.Fatalf("append A completed with %+v while its gate blocked", r)
+	default:
+	}
+	close(release)
+	for i, ch := range []<-chan AppendResult{a, b} {
+		if r := <-ch; r.Err != nil {
+			t.Fatalf("append %d: %v", i, r.Err)
+		}
+	}
+}
+
+// TestAppendAfterNodeStopFails: an append to a log whose node stopped
+// first cannot reach the loop, so it fails at once instead of waiting
+// forever.
+func TestAppendAfterNodeStopFails(t *testing.T) {
+	c := newBatchedCluster(t, 8, BatchOptions{})
+	defer c.stop()
+	c.nodes[0].Stop()
+	select {
+	case r := <-c.logs[0].AppendAsync(context.Background(), "late"):
+		if !errors.Is(r.Err, ErrStopped) {
+			t.Fatalf("append after node Stop completed with %+v, want ErrStopped", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("append after node Stop never completed")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/failure"
 	"repro/internal/wire"
 )
@@ -56,10 +55,6 @@ type CompactionOptions struct {
 	// timeout fires are treated as failed — the prefix is truncated anyway
 	// and they heal via snapshot-install. Defaults to DefaultAckTimeout.
 	AckTimeout time.Duration
-	// Clock supplies the ack-timeout timer. Defaults to the real clock;
-	// tests inject clock.NewFake to force the install fallback
-	// deterministically.
-	Clock clock.Clock
 }
 
 // DefaultInterval is the checkpoint cadence of a log whose window is slots
@@ -79,7 +74,6 @@ func (o CompactionOptions) withDefaults(slots int) CompactionOptions {
 	if o.AckTimeout <= 0 {
 		o.AckTimeout = DefaultAckTimeout
 	}
-	o.Clock = clock.Or(o.Clock)
 	return o
 }
 
@@ -236,7 +230,7 @@ func (l *Log) scheduleAckTimeout(f int64) {
 	if !pending {
 		return
 	}
-	l.compact.Clock.AfterFunc(l.compact.AckTimeout, func() {
+	l.clock.AfterFunc(l.compact.AckTimeout, func() {
 		l.n.Do(func() {
 			if l.stopped {
 				return
@@ -376,7 +370,7 @@ func (l *Log) adoptApplied(t map[uint64]*originSeqs) {
 		i := slices.IndexFunc(o.Last, func(p seqPos) bool { return p.Seq == seq })
 		if i < 0 {
 			delete(b.out, seq)
-			b.finish(sb, AppendResult{Err: fmt.Errorf("sub-batch %d applied below the installed frontier at an unrecorded slot: %w", seq, ErrCompacted)})
+			finish(sb.ops, AppendResult{Err: fmt.Errorf("sub-batch %d applied below the installed frontier at an unrecorded slot: %w", seq, ErrCompacted)})
 			continue
 		}
 		p := o.Last[i]

@@ -116,8 +116,6 @@ func TestBatchDuplicateAppliedOnce(t *testing.T) {
 	p1 := c.logs[1]
 	done := make(chan AppendResult, 1)
 	sub := wire.EncodeBatch(wire.SubBatch{Origin: 1, Seq: 1, Cmds: []string{"a"}})
-	p1.batch.inflight <- struct{}{}
-	p1.batch.wg.Add(1)
 	p1.n.Call(func() {
 		p1.batch.seq = 1
 		p1.batch.out[1] = &subBatch{seq: 1, ops: []pendingOp{{cmd: "a", done: done}}, val: sub}

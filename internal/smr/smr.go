@@ -32,10 +32,14 @@
 // are cut into sub-batches numbered (origin, seq), every process forwards
 // its sub-batches to the leader of its current view, and the leader — the
 // only process that claims slots — packs them into one value per slot,
-// with up to a configurable number of slots in flight (see batch.go). Every decided value is therefore a batch
-// value; SlotCommands expands it. A sub-batch re-sent after a view change
-// may commit twice; the later copy is skipped at apply, identically at every
-// replica, so commands need not be unique. Consensus value semantics are
+// with up to a configurable number of slots in flight (see batch.go).
+// Every decided value is therefore a batch value; SlotCommands expands it.
+// Group commit keeps no state off the node loop: an append hands its
+// command to the loop, and buffering, cutting, forwarding, claiming,
+// applying and completing are all loop steps, like the paper's handlers. A
+// sub-batch re-sent after a view change may commit twice; the later copy is
+// skipped at apply, identically at every replica, so commands need not be
+// unique. Consensus value semantics are
 // untouched — a batch is one value — so the paper's safety argument carries
 // over unchanged. Leader leases (internal/lease) serve leased local reads
 // off the applied state. Checkpointed compaction (compact.go; tuned by
@@ -54,6 +58,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/consensus"
 	"repro/internal/failure"
 	"repro/internal/graph"
@@ -113,6 +118,10 @@ type Options struct {
 	// KV's apply loop under NewKV and must be left unset there; a plain Log
 	// without one sends installs that carry no state.
 	Snapshotter Snapshotter
+	// Clock times both group-commit windows, the checkpoint ack timeout and
+	// Stop's drain bound. Defaults to the real clock; tests inject
+	// clock.NewFake to expire a window exactly when they choose.
+	Clock clock.Clock
 }
 
 // Log is one process's endpoint of the replicated command log.
@@ -130,8 +139,12 @@ type Log struct {
 	topicSnap string
 	topicFwd  string
 
-	// batch is the group-commit append buffer.
-	batch *batcher
+	// batch is the group-commit state, loop-confined. closed is set by Stop;
+	// from then on appends fail at once.
+	batch  *batcher
+	closed atomic.Bool
+	// clock is Options.Clock, defaulted.
+	clock clock.Clock
 
 	// compact is Options.Compaction with defaults applied. snapshotter may
 	// be nil (see Options.Snapshotter).
@@ -209,6 +222,8 @@ func New(n *node.Node, opts Options) *Log {
 		window:        int64(opts.Slots),
 		onCommit:      opts.OnCommit,
 		compact:       opts.Compaction.withDefaults(opts.Slots),
+		clock:         clock.Or(opts.Clock),
+		batch:         newBatcher(opts.Batch),
 		snapshotter:   opts.Snapshotter,
 		waiters:       make(map[int64][]chan string),
 		prefixWaiters: make(map[int64][]chan struct{}),
@@ -220,7 +235,6 @@ func New(n *node.Node, opts Options) *Log {
 		topicSnap:     opts.Name + "/snap",
 		topicFwd:      opts.Name + "/fwd",
 	}
-	l.batch = newBatcher(l, opts.Batch)
 	l.eng = consensus.NewEngine(n, consensus.EngineOptions{
 		Name: opts.Name, Reads: opts.Reads, Writes: opts.Writes, Slots: l.window,
 		OnDecide: l.recordDecision,
@@ -304,6 +318,11 @@ func (l *Log) foldPrefix() {
 	}
 	clear(l.firstApplied)
 	l.firstApplied = l.firstApplied[:0]
+	if b := l.batch; (b.flushing && len(b.out) < b.opts.Pipeline) || b.drained != nil {
+		// A pipeline place freed up: cut what waits for it, as an event of
+		// its own rather than inside the engine's decision handler.
+		l.n.Do(l.cut)
+	}
 }
 
 // SetGate installs (or, with nil, removes) the append-completion gate:
@@ -386,15 +405,18 @@ func (l *Log) WaitPrefix(ctx context.Context, slot int64) error {
 // retry it; a command already cut may still commit afterwards, and a retry
 // is a new sub-batch that would commit it twice.
 func (l *Log) Append(ctx context.Context, cmd string) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	if err := checkCmd(cmd); err != nil {
 		return 0, err
 	}
-	ch := l.batch.enqueue(cmd)
+	ch := l.enqueue(cmd)
 	select {
 	case res := <-ch:
 		return res.Slot, res.Err
 	case <-ctx.Done():
-		l.batch.remove(ch)
+		l.n.Do(func() { l.withdraw(ch) })
 		return 0, ctx.Err()
 	}
 }
@@ -429,7 +451,7 @@ func (l *Log) AppendAsync(ctx context.Context, cmd string) <-chan AppendResult {
 		done <- AppendResult{Err: err}
 		return done
 	}
-	return l.batch.enqueue(cmd)
+	return l.enqueue(cmd)
 }
 
 // Get returns the decision of a slot, blocking until it is decided at this
@@ -560,15 +582,32 @@ func SlotCommands(v string) ([]string, error) {
 
 // Stop drains the append buffer (buffered commands get a bounded commit
 // attempt — the close-time flush of group commit; whatever is still
-// unapplied then fails with ErrStopped), then terminates the view
-// synchronizer and the consensus engine, and releases blocked calls.
+// buffered or unapplied then fails with ErrStopped), then terminates the
+// view synchronizer and the consensus engine, and releases blocked calls.
+// An append after Stop fails at once.
 func (l *Log) Stop() {
-	l.batch.drainAndClose(5 * time.Second)
-	l.sync.Stop()
+	l.closed.Store(true)
+	drained := make(chan struct{})
 	ran := false
 	l.n.Call(func() {
 		ran = true
-		l.failOut(ErrStopped)
+		l.batch.drained = drained
+		l.flush()
+	})
+	if ran {
+		select {
+		case <-drained:
+		case <-l.clock.After(5 * time.Second):
+			// A sub-batch that cannot commit (no quorum) must not wedge
+			// Stop, which fails what is left; stopping the engine releases
+			// the claims.
+		}
+	}
+	l.sync.Stop()
+	ran = false
+	l.n.Call(func() {
+		ran = true
+		l.failAppends(ErrStopped)
 		l.stopped = true
 		for slot, ws := range l.waiters {
 			for _, ch := range ws {
@@ -584,7 +623,7 @@ func (l *Log) Stop() {
 		}
 	})
 	if !ran {
-		l.failOut(ErrStopped) // the node stopped first; its loop has exited
+		l.failAppends(ErrStopped) // the node stopped first; its loop has exited
 	}
 	l.eng.Stop()
 }

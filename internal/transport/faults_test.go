@@ -33,7 +33,7 @@ func TestRestartResumesDelivery(t *testing.T) {
 }
 
 func TestSetLinkFlap(t *testing.T) {
-	m := NewMem(2, fastDelay(), WithoutForwarding())
+	m := NewMem(2, fastDelay(), WithMode(ModeDirect))
 	defer m.Close()
 	c := newCollector()
 	m.Register(1, c.handler)

@@ -86,10 +86,6 @@ func WithMode(mode Mode) MemOption {
 	return func(m *MemNetwork) { m.mode = mode }
 }
 
-// WithoutForwarding disables transitivity: messages travel only on the
-// direct channel from sender to destination (ModeDirect).
-func WithoutForwarding() MemOption { return WithMode(ModeDirect) }
-
 // NewMem returns a running in-memory network for n processes.
 func NewMem(n int, opts ...MemOption) *MemNetwork {
 	m := &MemNetwork{

@@ -100,7 +100,7 @@ func TestMemForwardingAroundDeadDirectChannel(t *testing.T) {
 }
 
 func TestMemNoForwardingRespectsDisconnect(t *testing.T) {
-	m := NewMem(3, fastDelay(), WithoutForwarding())
+	m := NewMem(3, fastDelay(), WithMode(ModeDirect))
 	defer m.Close()
 	c := newCollector()
 	m.Register(1, c.handler)

@@ -46,8 +46,6 @@ type Config struct {
 	// schedules operations at this aggregate ops/sec across all clients.
 	// Zero means closed loop (each client issues back to back).
 	Rate float64
-	// Burst is the pacer's token-bucket capacity. Defaults to Clients.
-	Burst int
 	// Duration is the measured run length. Default 5s.
 	Duration time.Duration
 	// Warmup runs the workload for this long before measurement starts
@@ -191,9 +189,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clients == 0 {
 		c.Clients = 8
-	}
-	if c.Burst == 0 {
-		c.Burst = c.Clients
 	}
 	if c.Duration == 0 {
 		c.Duration = 5 * time.Second
@@ -436,7 +431,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	var pacer *Pacer
 	if cfg.Rate > 0 {
-		pacer = NewPacer(cfg.Rate, cfg.Burst)
+		pacer = NewPacer(cfg.Rate, cfg.Clients)
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
