@@ -25,22 +25,27 @@
 //
 // # Linearizability argument
 //
-// A leased read returns the holder's applied state at a loop step where the
-// lease is valid (smr.KV.GetIf checks validity and reads in one step). Any
-// operation that completed before the read was invoked occupies some slot s
-// and its completion was gated on one of: (a) the holder acknowledged its
-// prefix covers s — then the read observes it, the holder's prefix is
-// monotone; (b) the writer's conservative window lapsed — impossible while
-// the holder still serves, by the window asymmetry; or (c) no lease was in
-// force in the writer's applied prefix at s — then every grant entry sits
-// at a slot g > s, and a holder serving reads has applied its grant, so its
-// prefix covers g and hence s. Conversely, an operation invoked after a
-// leased read returned commits at a slot above every globally decided slot,
-// in particular above everything the read observed (proposals retry past
+// A leased read runs on the caller's goroutine and returns the holder's
+// applied state inside one critical section of the KV's read lock in which
+// the lease is valid (smr.KV.GetIf checks validity and reads under the
+// lock). The node loop holds the write lock across the apply of a whole
+// slot, grant entries included, so the read sees a prefix of whole slots,
+// and the holder acks a slot only once WaitApplied returns, which the loop
+// releases after the slot's write lock is released. Any operation that
+// completed before the read was invoked occupies some slot s and its
+// completion was gated on one of: (a) the holder acknowledged its prefix
+// covers s — then the read observes it, the holder's prefix is monotone; (b)
+// the writer's conservative window lapsed — impossible while the holder
+// still serves, by the window asymmetry; or (c) no lease was in force in the
+// writer's applied prefix at s — then every grant entry sits at a slot g >
+// s, and a holder serving reads has applied its grant, so its prefix covers
+// g and hence s. Conversely, an operation invoked after a leased read
+// returned commits at a slot above every globally decided slot, in
+// particular above everything the read observed (proposals retry past
 // decided slots). So leased reads serialize correctly against barrier reads
-// and writes in both directions. On lease loss — partition, missed renewal
-// — Holding turns false and the client read path falls back to the
-// (shared) barrier: linearizability is never traded for latency, only the
+// and writes in both directions. On lease loss — partition, missed renewal —
+// Holding turns false and the client read path falls back to the (shared)
+// barrier: linearizability is never traded for latency, only the
 // fast path is lost. The protocol is single-holder: grant entries naming a
 // process other than the configured holder are ignored; handing the lease
 // between processes is future work.
@@ -165,7 +170,9 @@ type Store interface {
 	// AppendMeta commits a meta entry through the log and returns its slot.
 	AppendMeta(ctx context.Context, meta string) (int64, error)
 	// GetIf reads key from the applied state iff ok() holds at the lookup's
-	// linearization point; served=false means ok failed and no read happened.
+	// linearization point, checked atomically with the read with respect to
+	// apply; served=false means ok failed and no read happened. ok may be
+	// evaluated under the store's read lock and must not call back into it.
 	GetIf(ctx context.Context, key string, ok func() bool) (val string, found, served bool, err error)
 	// GetManyIf is GetIf over several keys in one step.
 	GetManyIf(ctx context.Context, keys []string, ok func() bool) (m map[string]string, served bool, err error)
@@ -270,8 +277,9 @@ func (m *Manager) validNow() bool {
 }
 
 // Read serves key from the holder's applied state iff this process holds a
-// valid lease at the read's linearization point (validity is checked on the
-// node loop in the same step as the lookup). served=false — not the holder,
+// valid lease at the read's linearization point (validity is checked in the
+// same KV read-lock critical section as the lookup, on the caller's
+// goroutine: no node loop hop). served=false — not the holder,
 // lease lapsed, or the endpoint errored — means the caller must take the
 // barrier path instead; the read was not performed.
 func (m *Manager) Read(ctx context.Context, key string) (val string, found, served bool, err error) {
@@ -287,8 +295,9 @@ func (m *Manager) Read(ctx context.Context, key string) (val string, found, serv
 	return val, found, served, err
 }
 
-// ReadMany is Read over several keys in one loop step (one validity check,
-// one atomic multi-key lookup). Missing keys are absent from the result.
+// ReadMany is Read over several keys in one critical section (one validity
+// check, one atomic multi-key lookup). Missing keys are absent from the
+// result.
 func (m *Manager) ReadMany(ctx context.Context, keys []string) (vals map[string]string, served bool, err error) {
 	if m.self != m.opts.Holder {
 		return nil, false, nil

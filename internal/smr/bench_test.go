@@ -104,3 +104,39 @@ func BenchmarkKVApply(b *testing.B) {
 		b.Fatalf("applied %d keys, corrupt %v", len(kv.applied), kv.corrupt)
 	}
 }
+
+// BenchmarkKVGetIf measures the guarded local read rung: parallel
+// KV.GetIf calls, with a guard that always holds, over 1024 keys applied
+// on a default-options log of the Figure-1 cluster. One op is one read.
+func BenchmarkKVGetIf(b *testing.B) {
+	const keys = 1024
+	qs := quorum.Figure1()
+	c := &smrCluster{net: transport.NewMem(4, transport.WithDelay(transport.UniformDelay{}))}
+	defer c.stop()
+	for i := 0; i < 4; i++ {
+		nd := node.New(failure.Proc(i), c.net)
+		c.nodes = append(c.nodes, nd)
+		c.kvs = append(c.kvs, NewKV(nd, Options{Reads: qs.Reads, Writes: qs.Writes}))
+	}
+	ctx := context.Background()
+	pairs := make([]KVPair, keys)
+	names := make([]string, keys)
+	for i := range pairs {
+		names[i] = fmt.Sprintf("key-%04d", i)
+		pairs[i] = KVPair{Key: names[i], Val: fmt.Sprintf("value-%d", i)}
+	}
+	if _, err := c.kvs[0].SetMany(ctx, pairs); err != nil {
+		b.Fatal(err)
+	}
+	kv, always := c.kvs[0], func() bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, found, served, err := kv.GetIf(ctx, names[i%keys], always); err != nil || !found || !served {
+				b.Errorf("GetIf: found=%v served=%v err=%v", found, served, err)
+				return
+			}
+		}
+	})
+}

@@ -3,9 +3,9 @@ package smr
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/node"
 	"repro/internal/wire"
@@ -46,19 +46,29 @@ func decodeKVCommand(raw string) (kvCommand, error) {
 // respect to Sets observed at this process; a reader needing freshness
 // across processes calls Sync first, which commits a no-op barrier (or uses
 // the lease fast path, see internal/lease and GetIf).
+//
+// Only the node loop writes the applied state; reads run on the caller's
+// goroutine. mu guards applied and corrupt: the loop holds it for writing
+// across a whole slot (applySlot, including its meta observer call) and
+// across Restore, and Get, GetIf and GetManyIf hold it for reading around
+// their guard and lookup, so a read sees whole slots only. Snapshot runs
+// on the loop and reads without mu: only the loop writes. Lock order: mu,
+// then the lease manager's mutex, which both a leased read's guard (GetIf
+// → ok → validNow) and applySlot's meta observer (onMeta) take under mu.
 type KV struct {
 	log *Log
 
-	// Applied state, confined to the node loop: applySlot folds each slot
-	// in as the decided prefix advances (Log.OnCommit), so a read is one
-	// map lookup instead of an O(history) prefix replay with a decode per
-	// entry. cursor is the apply cursor — the next slot to fold — and
-	// always equals the log's first locally undecided slot. metaSlot/meta
-	// remember the newest Meta entry applied, so a checkpoint can carry it
-	// (see Snapshot).
+	// Applied state: applySlot folds each slot in as the decided prefix
+	// advances (Log.OnCommit), so a read is one map lookup instead of an
+	// O(history) prefix replay with a decode per entry. cursor is the apply
+	// cursor — the next slot to fold — and always equals the log's first
+	// locally undecided slot. metaSlot/meta remember the newest Meta entry
+	// applied, so a checkpoint can carry it (see Snapshot). cursor, onMeta,
+	// metaSlot and meta are confined to the node loop.
+	mu       sync.RWMutex
 	applied  map[string]string
-	cursor   int64
 	corrupt  error
+	cursor   int64
 	onMeta   func(slot int64, meta string)
 	metaSlot int64
 	meta     string
@@ -83,6 +93,8 @@ func NewKV(n *node.Node, opts Options) *KV {
 // entry poisons the endpoint's reads (first error wins) rather than being
 // skipped silently — the pre-refactor Get failed the same way.
 func (kv *KV) applySlot(slot int64, v string) {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	kv.cursor = slot + 1
 	cmds, err := SlotCommands(v)
 	if err != nil {
@@ -136,12 +148,13 @@ func (kv *KV) Snapshot(frontier int64) (string, error) {
 }
 
 // Restore replaces the applied state with an installed checkpoint
-// (smr.Snapshotter; runs on the node loop). The checkpoint's newest Meta
-// entry is replayed through the meta observer: the lease manager's grants
-// travel as Meta entries, and replaying the latest one re-establishes the
-// writer gate an installed process would otherwise miss — a replay at a
-// later apply time only lengthens the gate, which is the conservative
-// direction for the lease freshness argument.
+// (smr.Snapshotter; runs on the node loop and, like applySlot, holds mu for
+// writing throughout). The checkpoint's newest Meta entry is replayed
+// through the meta observer: the lease manager's grants travel as Meta
+// entries, and replaying the latest one re-establishes the writer gate an
+// installed process would otherwise miss — a replay at a later apply time
+// only lengthens the gate, which is the conservative direction for the lease
+// freshness argument.
 func (kv *KV) Restore(state string, frontier int64) error {
 	c, err := wire.DecodeCheckpoint(state)
 	if err != nil {
@@ -150,6 +163,8 @@ func (kv *KV) Restore(state string, frontier int64) error {
 	if c.Frontier != frontier {
 		return fmt.Errorf("restore checkpoint: frontier %d does not match install frontier %d", c.Frontier, frontier)
 	}
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	kv.applied = c.State
 	if kv.applied == nil {
 		kv.applied = make(map[string]string)
@@ -224,87 +239,72 @@ func (kv *KV) SetMany(ctx context.Context, pairs []KVPair) ([]int64, error) {
 
 // Get returns the value of key in the decided prefix at this process, and
 // whether it was present. It is one lookup in the incrementally applied
-// state (see applySlot), not a prefix replay. The context makes the read
-// path cancellable, like every other quorum operation in the library (the
-// applied state is served by the node's event loop, which may be busy with
-// protocol work).
+// state (see applySlot), not a prefix replay, and runs on the caller's
+// goroutine: it never waits for the node loop. A done ctx fails the read
+// with ctx.Err(), a stopped store with ErrStopped.
 func (kv *KV) Get(ctx context.Context, key string) (string, bool, error) {
-	var (
-		val   string
-		found bool
-		cerr  error
-	)
-	err := kv.log.n.CallCtx(ctx, func() {
-		cerr = kv.corrupt
-		val, found = kv.applied[key]
-	})
-	if err != nil {
-		if errors.Is(err, node.ErrStopped) {
-			return "", false, ErrStopped
-		}
-		return "", false, err
-	}
-	if cerr != nil {
-		return "", false, cerr
-	}
-	return val, found, nil
+	val, found, _, err := kv.GetIf(ctx, key, func() bool { return true })
+	return val, found, err
 }
 
-// GetIf is Get guarded by a predicate evaluated on the node loop in the
-// same loop step as the lookup: served reports whether ok() held and the
+// GetIf is Get guarded by a predicate evaluated in the same read-lock
+// critical section as the lookup: served reports whether ok() held and the
 // read was performed. It is the leased-read hook — the lease manager passes
-// its validity check, so lease expiry and the read are decided atomically
-// at the read's linearization point (a lease that expires between check and
-// lookup cannot serve a stale value).
+// its validity check, and since applySlot holds the write lock for a whole
+// slot, lease validity and the read are decided atomically with respect to
+// apply at the read's linearization point (a lease that expires between
+// check and lookup cannot serve a stale value). ok runs under the read lock
+// and must not call back into the KV.
 func (kv *KV) GetIf(ctx context.Context, key string, ok func() bool) (val string, found, served bool, err error) {
-	var cerr error
-	err = kv.log.n.CallCtx(ctx, func() {
-		if !ok() {
-			return
-		}
-		served = true
-		cerr = kv.corrupt
-		val, found = kv.applied[key]
-	})
-	if err != nil {
-		if errors.Is(err, node.ErrStopped) {
-			err = ErrStopped
-		}
+	if err := kv.readable(ctx); err != nil {
 		return "", false, false, err
 	}
-	if cerr != nil {
-		return "", false, true, cerr
+	kv.mu.RLock()
+	defer kv.mu.RUnlock()
+	if !ok() {
+		return "", false, false, nil
 	}
-	return val, found, served, nil
+	if kv.corrupt != nil {
+		return "", false, true, kv.corrupt
+	}
+	val, found = kv.applied[key]
+	return val, found, true, nil
 }
 
-// GetManyIf is GetIf over several keys in one loop step: one guard check,
-// one atomic multi-key lookup. Missing keys are absent from the result.
-func (kv *KV) GetManyIf(ctx context.Context, keys []string, ok func() bool) (m map[string]string, served bool, err error) {
-	var cerr error
-	err = kv.log.n.CallCtx(ctx, func() {
-		if !ok() {
-			return
-		}
-		served = true
-		cerr = kv.corrupt
-		m = make(map[string]string, len(keys))
-		for _, k := range keys {
-			if v, found := kv.applied[k]; found {
-				m[k] = v
-			}
-		}
-	})
-	if err != nil {
-		if errors.Is(err, node.ErrStopped) {
-			err = ErrStopped
-		}
+// GetManyIf is GetIf over several keys in one critical section: one guard
+// check, one atomic multi-key lookup. Missing keys are absent from the
+// result.
+func (kv *KV) GetManyIf(ctx context.Context, keys []string, ok func() bool) (map[string]string, bool, error) {
+	if err := kv.readable(ctx); err != nil {
 		return nil, false, err
 	}
-	if cerr != nil {
-		return nil, true, cerr
+	kv.mu.RLock()
+	defer kv.mu.RUnlock()
+	if !ok() {
+		return nil, false, nil
 	}
-	return m, served, nil
+	if kv.corrupt != nil {
+		return nil, true, kv.corrupt
+	}
+	m := make(map[string]string, len(keys))
+	for _, k := range keys {
+		if v, found := kv.applied[k]; found {
+			m[k] = v
+		}
+	}
+	return m, true, nil
+}
+
+// readable is the precondition every read checks before it serves: the
+// caller's ctx is live and the store is not stopped.
+func (kv *KV) readable(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if kv.log.closed.Load() {
+		return ErrStopped
+	}
+	return nil
 }
 
 // Sync commits a barrier no-op: after it returns, this process's decided
@@ -326,8 +326,9 @@ func (kv *KV) AppendMeta(ctx context.Context, meta string) (int64, error) {
 }
 
 // SetMetaObserver installs the observer for Meta entries (AppendMeta). It
-// runs on the node loop as the decided prefix advances, in commit order;
-// install it before the store takes traffic. Nil removes the observer.
+// runs on the node loop as the decided prefix advances, in commit order,
+// under the applied state's write lock, so it must not call back into the
+// KV; install it before the store takes traffic. Nil removes the observer.
 func (kv *KV) SetMetaObserver(fn func(slot int64, meta string)) {
 	kv.log.n.Call(func() { kv.onMeta = fn }) //lint:allow ctxflow install-time hook, one bounded loop hop before the store takes traffic
 }

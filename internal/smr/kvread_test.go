@@ -2,10 +2,15 @@ package smr
 
 import (
 	"context"
+	"errors"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // TestKVCommandEncoding: every command kind round-trips, none encodes
@@ -112,7 +117,8 @@ func TestKVMetaEntries(t *testing.T) {
 }
 
 // TestKVGetIf checks the guarded read: the predicate decides served-ness in
-// the same loop step as the lookup.
+// the same critical section as the lookup, which never waits for the node
+// loop, and a canceled or stopped read serves nothing.
 func TestKVGetIf(t *testing.T) {
 	c := newSMRCluster(t, true)
 	defer c.stop()
@@ -132,6 +138,115 @@ func TestKVGetIf(t *testing.T) {
 	m, served, err := c.kvs[0].GetManyIf(ctx, []string{"color", "missing"}, func() bool { return true })
 	if err != nil || !served || len(m) != 1 || m["color"] != "red" {
 		t.Fatalf("GetManyIf = %v/%v/%v", m, served, err)
+	}
+
+	// A read runs on the caller's goroutine: with the node loop blocked, a
+	// guarded read still serves the applied value, well inside its context.
+	release := make(chan struct{})
+	c.nodes[0].Do(func() { <-release })
+	blocked, cancel := context.WithTimeout(ctx, time.Second)
+	v, found, served, err = c.kvs[0].GetIf(blocked, "color", func() bool { return true })
+	cancel()
+	close(release)
+	if err != nil || !served || !found || v != "red" {
+		t.Fatalf("GetIf with the loop blocked = %q/%v/%v/%v, want red served", v, found, served, err)
+	}
+
+	// A done context fails every read with ctx.Err(), a stopped store with
+	// ErrStopped; neither serves.
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	c.kvs[1].Stop()
+	always := func() bool { return true }
+	for _, tc := range []struct {
+		name string
+		kv   *KV
+		ctx  context.Context
+		want error
+	}{
+		{"canceled", c.kvs[0], canceled, context.Canceled},
+		{"stopped", c.kvs[1], ctx, ErrStopped},
+	} {
+		if v, found, err := tc.kv.Get(tc.ctx, "color"); !errors.Is(err, tc.want) || found || v != "" {
+			t.Errorf("%s: Get = %q/%v/%v, want %v", tc.name, v, found, err, tc.want)
+		}
+		if _, _, served, err := tc.kv.GetIf(tc.ctx, "color", always); !errors.Is(err, tc.want) || served {
+			t.Errorf("%s: GetIf served=%v err=%v, want unserved %v", tc.name, served, err, tc.want)
+		}
+		if m, served, err := tc.kv.GetManyIf(tc.ctx, []string{"color"}, always); !errors.Is(err, tc.want) || served || m != nil {
+			t.Errorf("%s: GetManyIf = %v/%v/%v, want unserved %v", tc.name, m, served, err, tc.want)
+		}
+	}
+}
+
+// TestKVReadsSeeWholeSlots: reads off the loop never observe a slot half
+// applied. The loop applies two-command slots that set x and y to the same
+// value, with one checkpoint Restore (x == y) in between, while readers
+// hammer GetManyIf([x y]) from their own goroutines. Run it under -race.
+func TestKVReadsSeeWholeSlots(t *testing.T) {
+	c := newSMRCluster(t, true)
+	defer c.stop()
+	ctx := ctxSec(t, 120)
+	kv, nd := c.kvs[0], c.nodes[0]
+
+	// The slots are hand-made and far above any the idle log decides.
+	const slots, readers, base = 2000, 8, 1 << 20
+	var (
+		stop  = make(chan struct{})
+		wg    sync.WaitGroup
+		reads atomic.Int64
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m, served, err := kv.GetManyIf(ctx, []string{"x", "y"}, func() bool { return true })
+				if err != nil || !served {
+					t.Errorf("GetManyIf: served=%v err=%v", served, err)
+					return
+				}
+				if m["x"] != m["y"] {
+					t.Errorf("torn slot: x=%q y=%q", m["x"], m["y"])
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	for i := 0; i < slots; i++ {
+		slot, val := int64(base+i), strconv.Itoa(i)
+		if i == slots/2 {
+			ckpt, err := wire.EncodeCheckpoint(wire.Checkpoint{
+				Frontier: slot, State: map[string]string{"x": "restored", "y": "restored"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nd.Do(func() {
+				if err := kv.Restore(ckpt, slot); err != nil {
+					t.Errorf("restore: %v", err)
+				}
+			})
+		}
+		v := wire.EncodeBatch(wire.SubBatch{Origin: 1, Seq: uint64(i + 1), Cmds: []string{
+			kvCommand{Key: "x", Val: val}.encode(), kvCommand{Key: "y", Val: val}.encode(),
+		}})
+		nd.Do(func() { kv.applySlot(slot, v) })
+	}
+	nd.Call(func() {}) // every slot above has applied
+	close(stop)
+	wg.Wait()
+	if x, _, err := kv.Get(ctx, "x"); err != nil || x != strconv.Itoa(slots-1) {
+		t.Fatalf("final x = %q (%v), want %d", x, err, slots-1)
+	}
+	if reads.Load() == 0 {
+		t.Fatal("no read ran concurrently with apply")
 	}
 }
 
