@@ -30,9 +30,10 @@ type Handler func(from failure.Proc, m wire.Message)
 // Node is a single process: an unbounded mailbox drained by one event-loop
 // goroutine, a topic-based handler registry, and tracked periodic tasks.
 type Node struct {
-	id  failure.Proc
-	n   int
-	net transport.Network
+	id    failure.Proc
+	n     int
+	net   transport.Network
+	corks transport.Corker // net's write coalescing, or nil
 
 	// mu guards only the mailbox ring; the handler registry is lock-free on
 	// the read side.
@@ -62,6 +63,7 @@ func New(id failure.Proc, net transport.Network) *Node {
 		stopCh: make(chan struct{}),
 	}
 	n.cond = sync.NewCond(&n.mu)
+	n.corks, _ = net.(transport.Corker)
 	net.Register(id, n.onMessage)
 	go n.loop()
 	return n
@@ -192,10 +194,25 @@ func (n *Node) CallCtx(ctx context.Context, fn func()) error {
 	}
 }
 
+// maxCorked bounds the mailbox entries one corked stretch of the loop runs
+// before it flushes, so a mailbox that never drains still sends.
+const maxCorked = 64
+
+// loop drains the mailbox. On a network that coalesces writes it corks when
+// it picks up work after being idle and flushes once the mailbox drains
+// (before it waits or exits) or after maxCorked entries: the messages sent
+// in one busy period leave in one write per peer.
 func (n *Node) loop() {
 	defer close(n.done)
+	corked := 0 // entries run since the last Cork; 0 while uncorked
 	for {
 		n.mu.Lock()
+		if corked > 0 && (n.count == 0 || corked == maxCorked) {
+			n.mu.Unlock()
+			n.corks.Flush(n.id)
+			corked = 0
+			continue
+		}
 		for n.count == 0 && !n.stopped {
 			n.cond.Wait()
 		}
@@ -208,6 +225,12 @@ func (n *Node) loop() {
 		n.head = (n.head + 1) % len(n.ring)
 		n.count--
 		n.mu.Unlock()
+		if n.corks != nil {
+			if corked == 0 {
+				n.corks.Cork(n.id)
+			}
+			corked++
+		}
 		fn()
 	}
 }

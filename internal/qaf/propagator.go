@@ -27,13 +27,16 @@ import (
 // gets a ping; one silent for downTicks is treated as having no channel
 // back to us, which re-enables the paper's spontaneous per-tick behavior
 // toward it. An unacked push to a live peer, and the full state pushed to
-// silent peers, are re-offered after resendTicks. At the default 2ms tick:
-// ping after 100ms of mutual silence, assume no backchannel after 300ms,
-// re-offer after 100ms.
+// silent peers, are re-offered after resendTicks. Acks go out once every
+// ackTicks, well inside resendTicks, so an ack lands before the re-offer it
+// exists to suppress. At the default 2ms tick: ping after 100ms of mutual
+// silence, assume no backchannel after 300ms, re-offer after 100ms, ack
+// every 20ms.
 const (
 	pingTicks   = 50
 	downTicks   = 150
 	resendTicks = 50
+	ackTicks    = resendTicks / 5
 )
 
 // instState is the propagator's per-instance delta bookkeeping.
@@ -62,10 +65,12 @@ func (st *instState) full() wire.Prop {
 //     change is flushed immediately (coalesced per event-loop batch) as one
 //     broadcast carrying only the dirty entries. An idle instance
 //     contributes zero propagation bytes.
-//   - Receivers ack the clocks of the full states they observe. Per-peer
-//     acked clocks and offered state versions let the propagator detect
-//     peers that lack the current state (partition, late join, lost push)
-//     and send them exactly the instances they lack.
+//   - Receivers ack the clocks of the full states they observe, once per
+//     ack window (ackTicks): one message per peer carrying the highest
+//     clock seen per instance, as TCP's delayed ACK does. Per-peer acked
+//     clocks and offered state versions let the propagator detect peers
+//     that lack the current state (partition, late join, lost push) and
+//     send them exactly the instances they lack.
 //   - Peer liveness is probed with tiny pings whenever a pair has been
 //     mutually silent: a peer that answers nothing for downTicks may have
 //     no channel back to us at all (the paper's unidirectional model —
@@ -105,9 +110,9 @@ type Propagator struct {
 	instances   []*instState // sorted by name
 	byName      map[string]*instState
 	flushQueued bool
-	// pendingAcks accumulates observed clocks per sender between ticks, so
-	// a burst of pushes costs one ack message per peer per tick instead of
-	// one per push.
+	// pendingAcks accumulates observed clocks per sender between ack
+	// windows, so a burst of pushes costs one ack message per peer per
+	// window instead of one per push.
 	pendingAcks []map[string]int64
 	tickNo      int64
 	lastHeard   []int64        // per peer: tickNo when a propagator message last arrived
@@ -337,7 +342,9 @@ func (p *Propagator) tick() {
 	if len(nudges) > 0 {
 		p.n.Broadcast(p.topicNudge, nudges)
 	}
-	p.flushAcks()
+	if p.tickNo%ackTicks == 0 {
+		p.flushAcks()
+	}
 }
 
 // pushSilent sends the silent peers one shared message with an entry per
@@ -365,8 +372,8 @@ func (p *Propagator) pushSilent() {
 }
 
 // onProp demultiplexes a propagation batch to the attached instances and
-// queues acks for the observed clocks of full entries, sent at the next
-// tick. Runs on the node loop.
+// queues acks for the observed clocks of full entries, sent at the end of
+// the ack window. Runs on the node loop.
 func (p *Propagator) onProp(from failure.Proc, m wire.Message) {
 	p.heard(from)
 	var entries wire.Props

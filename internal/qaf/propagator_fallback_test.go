@@ -17,9 +17,10 @@ import (
 
 // probe is one process hosting a Propagator whose ticker never fires, so a
 // test drives it by delivering propagation bodies by hand. The other
-// processes of the two-process network host nothing.
+// processes of the two-process network host nothing; tap logs what is sent.
 type probe struct {
 	net   *transport.MemNetwork
+	tap   *sendTap
 	nodes []*node.Node
 	prop  *Propagator
 	accs  map[string]*Generalized
@@ -30,8 +31,9 @@ type probe struct {
 func newProbe(names ...string) *probe {
 	all := graph.BitSetOf(2, 0, 1)
 	pr := &probe{net: transport.NewMem(2, fastDelay(), transport.WithSeed(3)), accs: make(map[string]*Generalized)}
+	pr.tap = &sendTap{MemNetwork: pr.net}
 	for i := 0; i < 2; i++ {
-		pr.nodes = append(pr.nodes, node.New(failure.Proc(i), pr.net))
+		pr.nodes = append(pr.nodes, node.New(failure.Proc(i), pr.tap))
 	}
 	pr.prop = NewPropagator(pr.nodes[0], time.Hour)
 	for _, name := range names {

@@ -24,10 +24,21 @@ import (
 // fixed-iteration rung: one op is a fixed run of 4096 committed appends,
 // whatever b.N, and the per-append latency percentiles over every run are
 // reported as p50-us and p99-us, which do not move with the op count.
-func BenchmarkLogAppendBatched(b *testing.B) {
-	const clients, appends = 16, 4096
+// Decisions are fast enough here that claims seldom overlap:
+// claims-inflight, the mean number of claimed and undecided slots over the
+// four processes, sampled every 500 µs, stays below one.
+func BenchmarkLogAppendBatched(b *testing.B) { benchLogAppend(b, 16, 0) }
+
+// BenchmarkLogAppendPipelined is the same rung with the leader's pipeline
+// in use: 64 clients over pinned 500 µs hops keep claims in flight while
+// more sub-batches queue behind them (claims-inflight above one), so a
+// change to Pipeline, pump or claim latency under load shows here.
+func BenchmarkLogAppendPipelined(b *testing.B) { benchLogAppend(b, 64, 500*time.Microsecond) }
+
+func benchLogAppend(b *testing.B, clients int, hop time.Duration) {
+	const appends = 4096
 	qs := quorum.Figure1()
-	c := &smrCluster{net: transport.NewMem(4, transport.WithDelay(transport.UniformDelay{}))}
+	c := &smrCluster{net: transport.NewMem(4, transport.WithDelay(transport.UniformDelay{Min: hop, Max: hop}))}
 	defer c.stop()
 	for i := 0; i < 4; i++ {
 		nd := node.New(failure.Proc(i), c.net)
@@ -40,14 +51,35 @@ func BenchmarkLogAppendBatched(b *testing.B) {
 	}
 	ctx := context.Background()
 	lat := make([]time.Duration, 0, b.N*appends)
-	var mu sync.Mutex
+	var (
+		mu               sync.Mutex
+		inflight, sample atomic.Int64
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
+			next        atomic.Int64
+			wg, sampler sync.WaitGroup
 		)
+		done := make(chan struct{})
+		sampler.Add(1)
+		go func() {
+			defer sampler.Done()
+			t := time.NewTicker(500 * time.Microsecond)
+			defer t.Stop()
+			for {
+				select {
+				case <-done:
+					return
+				case <-t.C:
+					sample.Add(1)
+					for i, l := range c.logs {
+						c.nodes[i].Do(func() { inflight.Add(int64(l.batch.claims)) })
+					}
+				}
+			}
+		}()
 		for w := 0; w < clients; w++ {
 			wg.Add(1)
 			go func() {
@@ -67,6 +99,8 @@ func BenchmarkLogAppendBatched(b *testing.B) {
 			}()
 		}
 		wg.Wait()
+		close(done)
+		sampler.Wait()
 	}
 	b.StopTimer()
 	if len(lat) == 0 {
@@ -75,6 +109,9 @@ func BenchmarkLogAppendBatched(b *testing.B) {
 	slices.Sort(lat)
 	b.ReportMetric(float64(lat[len(lat)/2].Microseconds()), "p50-us")
 	b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-us")
+	if n := sample.Load(); n > 0 {
+		b.ReportMetric(float64(inflight.Load())/float64(n), "claims-inflight")
+	}
 }
 
 // BenchmarkKVApply measures the KV apply rung: KV.applySlot folding one

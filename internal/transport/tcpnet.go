@@ -21,6 +21,15 @@ import (
 //
 // Transitivity is irrelevant here because all channels are live; SendAll is
 // n unicasts.
+//
+// It implements Corker to coalesce writes. Send appends each frame to a
+// per-peer buffer. Between Cork and Flush the buffers are held, and Flush
+// writes every non-empty one with one write call; a buffer that reaches
+// tcpFlushLen is written at once. An uncorked Send writes its frame at
+// once: a send from any goroutine while the node loop is idle goes out
+// without waiting for loop activity. Partitioning is decided at Send time:
+// a frame sent to a partitioned peer is dropped, and a frame held before
+// SetPartitioned is still written at Flush.
 type TCPNetwork struct {
 	id    failure.Proc
 	addrs []string // addrs[p] = host:port of process p
@@ -35,11 +44,16 @@ type TCPNetwork struct {
 	wg       sync.WaitGroup
 
 	// sendMu serializes frame writes so concurrent senders cannot interleave
-	// partial frames on one connection.
-	sendMu sync.Mutex
+	// partial frames on one connection, and guards the write buffers.
+	sendMu  sync.Mutex
+	corked  bool
+	pending [][]byte // per peer: frames not yet written, reused
 }
 
-var _ Network = (*TCPNetwork)(nil)
+var (
+	_ Network = (*TCPNetwork)(nil)
+	_ Corker  = (*TCPNetwork)(nil)
+)
 
 // frame layout: 4-byte big-endian length | 4-byte big-endian sender | payload.
 const tcpHeaderLen = 8
@@ -51,6 +65,10 @@ const maxFrameLen = 16 << 20
 // burst of small protocol frames, small enough that idle connections cost
 // little.
 const tcpReadBuf = 4 << 10
+
+// tcpFlushLen bounds a peer's held frames: a corked buffer this long is
+// written at once, and a longer one is not kept for reuse after its write.
+const tcpFlushLen = 64 << 10
 
 // NewTCP creates the network endpoint of process id, listening on
 // addrs[id]. All processes must share the same addrs slice. The returned
@@ -71,6 +89,7 @@ func NewTCP(id failure.Proc, addrs []string) (*TCPNetwork, error) {
 		conns:    make(map[failure.Proc]net.Conn),
 		inbound:  make(map[net.Conn]bool),
 		blocked:  make(map[failure.Proc]bool),
+		pending:  make([][]byte, len(addrs)),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -205,20 +224,67 @@ func (t *TCPNetwork) Send(from, to failure.Proc, payload []byte) {
 		}
 		return
 	}
-	conn, err := t.connTo(to)
-	if err != nil {
+	if _, err := t.connTo(to); err != nil {
 		return // unreachable peer = lost message
 	}
-	frame := make([]byte, tcpHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], uint32(from))
-	copy(frame[tcpHeaderLen:], payload)
 	t.sendMu.Lock()
-	_, err = conn.Write(frame)
-	t.sendMu.Unlock()
-	if err != nil {
-		t.dropConn(to, conn)
+	defer t.sendMu.Unlock()
+	t.pending[to] = appendFrame(t.pending[to], from, payload)
+	if !t.corked || len(t.pending[to]) >= tcpFlushLen {
+		t.flushTo(to)
 	}
+}
+
+// appendFrame appends one frame, header then payload, to buf.
+func appendFrame(buf []byte, from failure.Proc, payload []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(from))
+	return append(buf, payload...)
+}
+
+// Cork implements Corker: frames sent from now on are held until Flush.
+func (t *TCPNetwork) Cork(from failure.Proc) {
+	if from != t.id {
+		return
+	}
+	t.sendMu.Lock()
+	t.corked = true
+	t.sendMu.Unlock()
+}
+
+// Flush implements Corker: it writes each peer's held frames with one write
+// call and sends at once again until the next Cork.
+func (t *TCPNetwork) Flush(from failure.Proc) {
+	if from != t.id {
+		return
+	}
+	t.sendMu.Lock()
+	defer t.sendMu.Unlock()
+	t.corked = false
+	for p, buf := range t.pending {
+		if len(buf) > 0 {
+			t.flushTo(failure.Proc(p))
+		}
+	}
+}
+
+// flushTo writes the frames buffered for peer p on its current connection;
+// if the connection is gone they are lost, like any frame on a broken
+// connection. Called with sendMu held.
+func (t *TCPNetwork) flushTo(p failure.Proc) {
+	buf := t.pending[p]
+	t.mu.Lock()
+	conn := t.conns[p]
+	t.mu.Unlock()
+	if conn != nil {
+		if _, err := conn.Write(buf); err != nil {
+			t.dropConn(p, conn)
+		}
+	}
+	if cap(buf) > tcpFlushLen {
+		buf = nil
+	}
+	t.pending[p] = buf[:0]
 }
 
 // SendAll implements Network.

@@ -41,6 +41,17 @@ type Network interface {
 	Close()
 }
 
+// Corker is implemented by networks that can coalesce a burst of sends into
+// fewer writes. Between Cork(from) and Flush(from) the network may hold the
+// messages `from` sends; Flush hands every held message on. A node's event
+// loop corks when it picks up work and flushes when its mailbox drains, so
+// a message waits at most for the rest of the loop's busy period. Networks
+// without it send each message at once.
+type Corker interface {
+	Cork(from failure.Proc)
+	Flush(from failure.Proc)
+}
+
 // FaultInjector is implemented by networks that support failure injection.
 type FaultInjector interface {
 	// Crash stops process p: no further messages are delivered to or sent
