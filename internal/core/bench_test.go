@@ -18,7 +18,10 @@ import (
 // default tick, 64 registers, and 16 goroutines (8 per CPU on 2 CPUs)
 // issuing a 50/50 mix of Read and Write over them, each register taking
 // both. One op is one register
-// operation; the per-op p50-us and p99-us cover every op of the run.
+// operation; the per-op p50-us and p99-us cover every op of the run, and
+// sets/op counts the quorum_set rounds they took (one per write, one per
+// read that could not skip its write-back), a figure that box load does not
+// move.
 func BenchmarkRegisterTCP(b *testing.B) {
 	const registers = 64
 	qs := quorum.Figure1()
@@ -38,6 +41,16 @@ func BenchmarkRegisterTCP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	sets := func() (n int64) {
+		for _, rc := range regs {
+			for p := 0; p < c.N(); p++ {
+				m, _ := rc.At(failure.Proc(p)).Metrics()
+				n += m.Sets
+			}
+		}
+		return n
+	}
+	sets0 := sets()
 	var (
 		next atomic.Int64
 		mu   sync.Mutex
@@ -69,6 +82,7 @@ func BenchmarkRegisterTCP(b *testing.B) {
 		mu.Unlock()
 	})
 	b.StopTimer()
+	b.ReportMetric(float64(sets()-sets0)/float64(b.N), "sets/op")
 	if len(lat) == 0 {
 		return
 	}

@@ -55,6 +55,9 @@ func (s BitSet) Remove(e int) {
 	s.words[e/64] &^= 1 << (uint(e) % 64)
 }
 
+// Clear removes every element; the capacity stays.
+func (s BitSet) Clear() { clear(s.words) }
+
 // Contains reports whether e is in the set.
 func (s BitSet) Contains(e int) bool {
 	if e < 0 || e >= s.n {

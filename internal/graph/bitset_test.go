@@ -35,6 +35,9 @@ func TestBitSetBasicOps(t *testing.T) {
 	if got := s.Elems(); !reflect.DeepEqual(got, []int{0, 129}) {
 		t.Errorf("Elems = %v, want [0 129]", got)
 	}
+	if s.Clear(); !s.Empty() || s.Cap() != 130 {
+		t.Errorf("after Clear: %v with capacity %d, want {} with 130", s, s.Cap())
+	}
 }
 
 func TestBitSetOf(t *testing.T) {

@@ -74,8 +74,10 @@ func NewClassical(n *node.Node, name string, sm StateMachine, reads, writes []gr
 	return c
 }
 
-// Get implements Accessor (Figure 2, lines 3-7).
-func (c *Classical) Get(ctx context.Context) ([][]byte, error) {
+// Get implements Accessor (Figure 2, lines 3-7). It never reports its
+// result installed: a request/response round proves nothing about states
+// it did not read.
+func (c *Classical) Get(ctx context.Context) ([][]byte, bool, error) {
 	atomic.AddInt64(&c.metrics.Gets, 1)
 	var pg *classicalPendingGet
 	var seq int64
@@ -95,20 +97,20 @@ func (c *Classical) Get(ctx context.Context) ([][]byte, error) {
 		// The registration may still run later; withdraw it behind fn in
 		// loop order (seq is written before the withdrawal reads it).
 		c.n.Do(func() { delete(c.gets, seq) })
-		return nil, err
+		return nil, false, err
 	}
 	if pg == nil {
-		return nil, ErrStopped
+		return nil, false, ErrStopped
 	}
 	select {
 	case states, ok := <-pg.done:
 		if !ok {
-			return nil, ErrStopped
+			return nil, false, ErrStopped
 		}
-		return states, nil
+		return states, false, nil
 	case <-ctx.Done():
 		c.n.Do(func() { delete(c.gets, seq) })
-		return nil, ctx.Err()
+		return nil, false, ctx.Err()
 	}
 }
 

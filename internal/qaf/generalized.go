@@ -20,18 +20,21 @@ import (
 
 // genPendingGet tracks a quorum_get invocation (Figure 3, lines 3-9).
 type genPendingGet struct {
-	clockResps map[failure.Proc]int64
-	cGet       int64 // clock cutoff; valid once phase == 2
-	phase      int   // 1: collecting CLOCK_RESP; 2: waiting for fresh GET_RESP
+	clocks     []int64      // per process: highest CLOCK_RESP clock
+	responders graph.BitSet // processes whose CLOCK_RESP arrived
+	cGet       int64        // clock cutoff; valid once phase == 2
+	phase      int          // 1: collecting CLOCK_RESP; 2: waiting for fresh GET_RESP
+	installed  bool         // the result is proven installed; written before done
 	done       chan [][]byte
 }
 
 // genPendingSet tracks a quorum_set invocation (Figure 3, lines 15-20).
 type genPendingSet struct {
-	setResps map[failure.Proc]int64
-	cSet     int64
-	phase    int // 1: collecting SET_RESP; 2: waiting for read-quorum clocks
-	done     chan struct{}
+	clocks     []int64      // per process: highest SET_RESP clock
+	responders graph.BitSet // processes whose SET_RESP arrived
+	cSet       int64
+	phase      int // 1: collecting SET_RESP; 2: waiting for read-quorum clocks
+	done       chan struct{}
 }
 
 // observed is the freshest unsolicited state report received from a process:
@@ -64,6 +67,7 @@ type Generalized struct {
 	gets     map[int64]*genPendingGet
 	sets     map[int64]*genPendingSet
 	latest   map[failure.Proc]observed
+	scratch  graph.BitSet // reused process set, see heldAtOrAbove
 	stopped  bool
 	cancelFn func()
 	prop     *Propagator
@@ -114,6 +118,7 @@ func NewGeneralized(n *node.Node, cfg GeneralizedConfig) *Generalized {
 		gets:           make(map[int64]*genPendingGet),
 		sets:           make(map[int64]*genPendingSet),
 		latest:         make(map[failure.Proc]observed),
+		scratch:        graph.NewBitSet(n.ClusterSize()),
 		topicClockReq:  cfg.Name + "/clock_req",
 		topicClockResp: cfg.Name + "/clock_resp",
 		topicGetResp:   cfg.Name + "/get_resp",
@@ -145,8 +150,11 @@ func NewGeneralized(n *node.Node, cfg GeneralizedConfig) *Generalized {
 	return g
 }
 
-// Get implements Accessor (Figure 3, lines 3-9).
-func (g *Generalized) Get(ctx context.Context) ([][]byte, error) {
+// Get implements Accessor (Figure 3, lines 3-9). The result is reported
+// installed when the reports held as the get completes prove it (see
+// installed); reports from the per-instance ticker carry no version and
+// never do.
+func (g *Generalized) Get(ctx context.Context) ([][]byte, bool, error) {
 	atomic.AddInt64(&g.metrics.Gets, 1)
 	var pg *genPendingGet
 	var seq int64
@@ -156,8 +164,10 @@ func (g *Generalized) Get(ctx context.Context) ([][]byte, error) {
 		}
 		g.seq++
 		seq = g.seq
+		n := g.n.ClusterSize()
 		pg = &genPendingGet{
-			clockResps: make(map[failure.Proc]int64),
+			clocks:     make([]int64, n),
+			responders: graph.NewBitSet(n),
 			phase:      1,
 			done:       make(chan [][]byte, 1),
 		}
@@ -168,20 +178,23 @@ func (g *Generalized) Get(ctx context.Context) ([][]byte, error) {
 		// The registration may still run later; withdraw it behind fn in
 		// loop order (seq is written before the withdrawal reads it).
 		g.n.Do(func() { delete(g.gets, seq) })
-		return nil, err
+		return nil, false, err
 	}
 	if pg == nil {
-		return nil, ErrStopped
+		return nil, false, ErrStopped
 	}
 	select {
 	case states, ok := <-pg.done:
 		if !ok {
-			return nil, ErrStopped
+			return nil, false, ErrStopped
 		}
-		return states, nil
+		if pg.installed {
+			atomic.AddInt64(&g.metrics.Installed, 1)
+		}
+		return states, pg.installed, nil
 	case <-ctx.Done():
 		g.n.Do(func() { delete(g.gets, seq) })
-		return nil, ctx.Err()
+		return nil, false, ctx.Err()
 	}
 }
 
@@ -196,10 +209,12 @@ func (g *Generalized) Set(ctx context.Context, update []byte) error {
 		}
 		g.seq++
 		seq = g.seq
+		n := g.n.ClusterSize()
 		ps = &genPendingSet{
-			setResps: make(map[failure.Proc]int64),
-			phase:    1,
-			done:     make(chan struct{}, 1),
+			clocks:     make([]int64, n),
+			responders: graph.NewBitSet(n),
+			phase:      1,
+			done:       make(chan struct{}, 1),
 		}
 		g.sets[seq] = ps
 		// Line 17: ship the update to a write quorum.
@@ -249,8 +264,9 @@ func (g *Generalized) Stop() {
 // Metrics returns operation counters.
 func (g *Generalized) Metrics() Metrics {
 	return Metrics{
-		Gets: atomic.LoadInt64(&g.metrics.Gets),
-		Sets: atomic.LoadInt64(&g.metrics.Sets),
+		Gets:      atomic.LoadInt64(&g.metrics.Gets),
+		Sets:      atomic.LoadInt64(&g.metrics.Sets),
+		Installed: atomic.LoadInt64(&g.metrics.Installed),
 	}
 }
 
@@ -277,27 +293,19 @@ func (g *Generalized) onClockResp(from failure.Proc, m wire.Message) {
 		return
 	}
 	pg, ok := g.gets[resp.Seq]
-	if !ok || pg.phase != 1 {
+	q := int(from)
+	if !ok || pg.phase != 1 || q < 0 || q >= len(pg.clocks) {
 		return
 	}
-	if c, seen := pg.clockResps[from]; !seen || resp.Clock > c {
-		pg.clockResps[from] = resp.Clock
-	}
-	responders := graph.NewBitSet(g.n.ClusterSize())
-	for p := range pg.clockResps {
-		responders.Add(int(p))
-	}
-	wi := quorumContaining(g.writes, responders)
+	pg.clocks[q] = max(pg.clocks[q], resp.Clock)
+	pg.responders.Add(q)
+	wi := quorumContaining(g.writes, pg.responders)
 	if wi < 0 {
 		return
 	}
 	// Line 7: c_get = max clock among the write quorum's responses.
 	var cGet int64
-	g.writes[wi].ForEach(func(p int) {
-		if c := pg.clockResps[failure.Proc(p)]; c > cGet {
-			cGet = c
-		}
-	})
+	g.writes[wi].ForEach(func(p int) { cGet = max(cGet, pg.clocks[p]) })
 	pg.cGet = cGet
 	pg.phase = 2
 	g.checkGetPhase2(resp.Seq, pg)
@@ -369,25 +377,75 @@ func (g *Generalized) recheck() {
 	}
 }
 
-// checkGetPhase2 completes a get once some read quorum's fresh states are
-// all at or beyond the cutoff (Figure 3, lines 8-9).
-func (g *Generalized) checkGetPhase2(seq int64, pg *genPendingGet) {
-	fresh := graph.NewBitSet(g.n.ClusterSize())
+// heldAtOrAbove returns the processes whose held report's clock is at least
+// c. The set is g.scratch, so it is valid until the next use of scratch.
+// Runs on the node loop.
+func (g *Generalized) heldAtOrAbove(c int64) graph.BitSet {
+	g.scratch.Clear()
 	for p, ob := range g.latest {
-		if ob.clock >= pg.cGet {
-			fresh.Add(int(p))
+		if ob.clock >= c {
+			g.scratch.Add(int(p))
 		}
 	}
-	ri := quorumContaining(g.reads, fresh)
+	return g.scratch
+}
+
+// checkGetPhase2 completes a get once some read quorum's fresh states are
+// all at or beyond the cutoff (Figure 3, lines 8-9), and decides on the
+// same reports whether its result is already installed.
+func (g *Generalized) checkGetPhase2(seq int64, pg *genPendingGet) {
+	ri := quorumContaining(g.reads, g.heldAtOrAbove(pg.cGet))
 	if ri < 0 {
 		return
 	}
-	var states [][]byte
+	states := make([][]byte, 0, g.reads[ri].Len())
 	g.reads[ri].ForEach(func(p int) {
 		states = append(states, g.latest[failure.Proc(p)].state)
 	})
+	pg.installed = g.installed(states)
 	delete(g.gets, seq)
 	pg.done <- states
+}
+
+// installed reports whether the largest of a completing get's states, best,
+// is already installed. It is when some write quorum W0 holds versioned
+// reports whose states all cover best, and some read quorum R* holds
+// reports with clocks at or beyond m, the highest version among W0's
+// reports. Of the write quorums that qualify it takes the one with the
+// least m. If no returned state covers all the others there is no best and
+// the answer is no. Package register gives the safety argument. Runs on the
+// node loop.
+func (g *Generalized) installed(states [][]byte) bool {
+	best := states[0]
+	for _, s := range states[1:] {
+		if !g.sm.Covers(best, s) {
+			best = s
+		}
+	}
+	for _, s := range states {
+		if !g.sm.Covers(best, s) {
+			return false
+		}
+	}
+	cover := g.scratch
+	cover.Clear()
+	for p, ob := range g.latest {
+		if ob.ver >= 0 && g.sm.Covers(ob.state, best) {
+			cover.Add(int(p))
+		}
+	}
+	m := int64(-1)
+	for _, w := range g.writes {
+		if !w.SubsetOf(cover) {
+			continue
+		}
+		var mw int64
+		w.ForEach(func(p int) { mw = max(mw, g.latest[failure.Proc(p)].ver) })
+		if m < 0 || mw < m {
+			m = mw
+		}
+	}
+	return m >= 0 && quorumContaining(g.reads, g.heldAtOrAbove(m)) >= 0
 }
 
 // onSetReq handles SET_REQ (Figure 3, lines 21-24): apply the update,
@@ -419,27 +477,19 @@ func (g *Generalized) onSetResp(from failure.Proc, m wire.Message) {
 		return
 	}
 	ps, ok := g.sets[resp.Seq]
-	if !ok || ps.phase != 1 {
+	q := int(from)
+	if !ok || ps.phase != 1 || q < 0 || q >= len(ps.clocks) {
 		return
 	}
-	if c, seen := ps.setResps[from]; !seen || resp.Clock > c {
-		ps.setResps[from] = resp.Clock
-	}
-	responders := graph.NewBitSet(g.n.ClusterSize())
-	for p := range ps.setResps {
-		responders.Add(int(p))
-	}
-	wi := quorumContaining(g.writes, responders)
+	ps.clocks[q] = max(ps.clocks[q], resp.Clock)
+	ps.responders.Add(q)
+	wi := quorumContaining(g.writes, ps.responders)
 	if wi < 0 {
 		return
 	}
 	// Line 19: c_set = max clock among the write quorum's responses.
 	var cSet int64
-	g.writes[wi].ForEach(func(p int) {
-		if c := ps.setResps[failure.Proc(p)]; c > cSet {
-			cSet = c
-		}
-	})
+	g.writes[wi].ForEach(func(p int) { cSet = max(cSet, ps.clocks[p]) })
 	ps.cSet = cSet
 	ps.phase = 2
 	g.checkSetPhase2(resp.Seq, ps)
@@ -474,13 +524,7 @@ func (g *Generalized) pendingCutoff() (int64, bool) {
 // beyond c_set (Figure 3, line 20). This wait is what makes the update
 // visible to every later quorum_get (Theorem 3).
 func (g *Generalized) checkSetPhase2(seq int64, ps *genPendingSet) {
-	fresh := graph.NewBitSet(g.n.ClusterSize())
-	for p, ob := range g.latest {
-		if ob.clock >= ps.cSet {
-			fresh.Add(int(p))
-		}
-	}
-	if quorumContaining(g.reads, fresh) < 0 {
+	if quorumContaining(g.reads, g.heldAtOrAbove(ps.cSet)) < 0 {
 		return
 	}
 	delete(g.sets, seq)

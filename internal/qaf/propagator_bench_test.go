@@ -67,7 +67,9 @@ func newBenchCluster(n, k int, tick time.Duration) *benchCluster {
 // instances and caller nodes (the workload engine's access shape); every
 // operation is a full write-quorum SET round plus the phase-2 wait for
 // read-quorum clocks, so the cost of propagating the other instances' state
-// lands directly in the measured path.
+// lands directly in the measured path. sends/op is the network's Send and
+// SendAll calls per Set (a broadcast counts once): unlike ns/op, box load
+// does not move it much.
 func BenchmarkPropagatorFanout(b *testing.B) {
 	const clients = 8
 	for _, k := range []int{8, 32, 128, 256} {
@@ -81,6 +83,7 @@ func BenchmarkPropagatorFanout(b *testing.B) {
 			if err := c.accs[0][0].Set(ctx, enc(1)); err != nil {
 				b.Fatalf("warmup Set: %v", err)
 			}
+			sent0 := c.net.Stats().Sent
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			var next atomic.Int64
@@ -110,6 +113,7 @@ func BenchmarkPropagatorFanout(b *testing.B) {
 			default:
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+			b.ReportMetric(float64(c.net.Stats().Sent-sent0)/float64(b.N), "sends/op")
 		})
 	}
 }
@@ -132,7 +136,7 @@ func BenchmarkPropagatorUnderF1(b *testing.B) {
 		if err := acc.Set(ctx, enc(v)); err != nil {
 			b.Fatalf("Set: %v", err)
 		}
-		if _, err := acc.Get(ctx); err != nil {
+		if _, _, err := acc.Get(ctx); err != nil {
 			b.Fatalf("Get: %v", err)
 		}
 	}

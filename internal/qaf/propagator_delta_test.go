@@ -112,7 +112,7 @@ func TestPropagatorCatchUpAfterHealMem(t *testing.T) {
 
 	// The healed replica's next Get must complete (its stale observations
 	// are refreshed by catch-up snapshots) and observe the latest value.
-	states, err := c.accs[victim][0].Get(ctx)
+	states, _, err := c.accs[victim][0].Get(ctx)
 	if err != nil {
 		t.Fatalf("Get at healed replica: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestPropagatorCatchUpAfterHealTCP(t *testing.T) {
 	}
 	setPartitionedTCP(nets, victim, false)
 
-	states, err := accs[victim].Get(ctx)
+	states, _, err := accs[victim].Get(ctx)
 	if err != nil {
 		t.Fatalf("Get at healed replica: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestPropagatorNudgeCompletesDivergedClocks(t *testing.T) {
 	c.net.Crash(0)
 
 	t0 := time.Now()
-	states, err := c.accs[1][0].Get(ctx)
+	states, _, err := c.accs[1][0].Get(ctx)
 	if err != nil {
 		t.Fatalf("Get with diverged clocks: %v", err)
 	}

@@ -90,7 +90,7 @@ func TestClockOnlyPushNeedsMatchingVersion(t *testing.T) {
 	var pg *genPendingGet
 	pr.nodes[0].Call(func() {
 		g.seq++
-		pg = &genPendingGet{clockResps: map[failure.Proc]int64{}, cGet: 50, phase: 2, done: make(chan [][]byte, 1)}
+		pg = &genPendingGet{cGet: 50, phase: 2, done: make(chan [][]byte, 1)}
 		g.gets[g.seq] = pg
 	})
 	pending := func(step string) {
@@ -174,7 +174,7 @@ func TestF1LatencyDoesNotGrow(t *testing.T) {
 		if err := acc.Set(ctx, enc(v)); err != nil {
 			t.Fatalf("Set %d: %v", v, err)
 		}
-		states, err := acc.Get(ctx)
+		states, _, err := acc.Get(ctx)
 		if err != nil {
 			t.Fatalf("Get after Set %d: %v", v, err)
 		}

@@ -80,7 +80,7 @@ func TestPropagatorBatchesMultipleInstances(t *testing.T) {
 		}
 	}
 	for j := 0; j < k; j++ {
-		states, err := c.accs[1][j].Get(ctx)
+		states, _, err := c.accs[1][j].Get(ctx)
 		if err != nil {
 			t.Fatalf("Get obj%d: %v", j, err)
 		}
@@ -102,7 +102,7 @@ func TestPropagatorUnderF1(t *testing.T) {
 	if err := c.accs[0][1].Set(ctx, enc(55)); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	states, err := c.accs[1][1].Get(ctx)
+	states, _, err := c.accs[1][1].Get(ctx)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -122,10 +122,10 @@ func TestPropagatorDetachOnStop(t *testing.T) {
 	if err := c.accs[1][1].Set(ctx, enc(9)); err != nil {
 		t.Fatalf("Set on surviving object: %v", err)
 	}
-	if _, err := c.accs[1][1].Get(ctx); err != nil {
+	if _, _, err := c.accs[1][1].Get(ctx); err != nil {
 		t.Fatalf("Get on surviving object: %v", err)
 	}
-	if _, err := c.accs[0][0].Get(ctx); err != ErrStopped {
+	if _, _, err := c.accs[0][0].Get(ctx); err != ErrStopped {
 		t.Fatalf("stopped accessor Get = %v, want ErrStopped", err)
 	}
 }
@@ -196,7 +196,7 @@ func TestPropagatorIgnoresGarbage(t *testing.T) {
 	if err := c.accs[0][0].Set(ctx, enc(3)); err != nil {
 		t.Fatalf("Set after garbage: %v", err)
 	}
-	states, err := c.accs[1][0].Get(ctx)
+	states, _, err := c.accs[1][0].Get(ctx)
 	if err != nil {
 		t.Fatalf("Get after garbage: %v", err)
 	}

@@ -6,7 +6,9 @@
 //
 // Both implementations provide the same interface:
 //
-//	Get  — returns the states of all members of some read quorum;
+//	Get  — returns the states of all members of some read quorum, and
+//	       whether the largest is provably installed already (the
+//	       generalized implementation only);
 //	Set  — applies an update to the states of all members of some write
 //	       quorum.
 //
@@ -39,13 +41,25 @@ type StateMachine interface {
 	// Apply applies an update descriptor u to the state, implementing
 	// state <- u(state).
 	Apply(update []byte) error
+	// Covers reports whether snapshot s holds every update snapshot t
+	// holds, so that applying t's updates to s would change nothing. It
+	// must be a preorder that Apply respects: a state only ever grows
+	// under it. Generalized uses it to prove a Get's result already
+	// installed (see Accessor.Get); false is always safe.
+	Covers(s, t []byte) bool
 }
 
 // Accessor is the common interface of the two implementations.
 type Accessor interface {
 	// Get returns the states of all members of some read quorum (Validity
-	// and Real-time ordering per §5).
-	Get(ctx context.Context) ([][]byte, error)
+	// and Real-time ordering per §5), and whether the largest of them is
+	// already installed: every Get that starts after this one returns
+	// returns some state that covers it, just as if it had been Set
+	// (Theorem 3's postcondition). A reader may then skip Figure 4's
+	// write-back. Generalized proves it from the clock reports it holds
+	// (package register has the rule and its safety argument); Classical
+	// always reports false.
+	Get(ctx context.Context) ([][]byte, bool, error)
 	// Set applies the update descriptor to the states of all members of
 	// some write quorum and, in the generalized implementation, delays
 	// completion until the update is observable by any later Get.
@@ -66,7 +80,9 @@ func quorumContaining(family []graph.BitSet, responders graph.BitSet) int {
 }
 
 // Metrics counts accessor operations, for benchmarks and experiments.
+// Installed counts the Gets whose result was proven already installed.
 type Metrics struct {
-	Gets int64
-	Sets int64
+	Gets      int64
+	Sets      int64
+	Installed int64
 }

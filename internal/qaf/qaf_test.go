@@ -39,6 +39,12 @@ func (s *maxSM) Apply(update []byte) error {
 	return nil
 }
 
+// Covers orders states by value: a larger maximum holds every smaller one.
+func (s *maxSM) Covers(a, b []byte) bool {
+	var x, y int64
+	return json.Unmarshal(a, &x) == nil && json.Unmarshal(b, &y) == nil && x >= y
+}
+
 func enc(v int64) []byte {
 	b, _ := json.Marshal(v)
 	return b
@@ -137,7 +143,7 @@ func TestClassicalGetSetRoundTrip(t *testing.T) {
 	if err := c.accs[0].Set(ctx, enc(7)); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	states, err := c.accs[1].Get(ctx)
+	states, _, err := c.accs[1].Get(ctx)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -157,7 +163,7 @@ func TestClassicalLivenessUnderMinorityCrash(t *testing.T) {
 	if err := c.accs[0].Set(ctx, enc(3)); err != nil {
 		t.Fatalf("Set under crash: %v", err)
 	}
-	states, err := c.accs[1].Get(ctx)
+	states, _, err := c.accs[1].Get(ctx)
 	if err != nil {
 		t.Fatalf("Get under crash: %v", err)
 	}
@@ -191,7 +197,7 @@ func TestGeneralizedFailureFree(t *testing.T) {
 	if err := c.accs[0].Set(ctx, enc(11)); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	states, err := c.accs[1].Get(ctx)
+	states, _, err := c.accs[1].Get(ctx)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -223,7 +229,7 @@ func TestGeneralizedUnderEachFigure1Pattern(t *testing.T) {
 			if err := setter.Set(ctx, enc(want)); err != nil {
 				t.Fatalf("Set at %d under %s: %v", uf[0], f.Name, err)
 			}
-			states, err := getter.Get(ctx)
+			states, _, err := getter.Get(ctx)
 			if err != nil {
 				t.Fatalf("Get at %d under %s: %v", uf[1], f.Name, err)
 			}
@@ -251,7 +257,7 @@ func TestGeneralizedRealTimeOrderingSequence(t *testing.T) {
 		if err := setter.Set(ctx, enc(i*10)); err != nil {
 			t.Fatalf("Set %d: %v", i, err)
 		}
-		states, err := getter.Get(ctx)
+		states, _, err := getter.Get(ctx)
 		if err != nil {
 			t.Fatalf("Get %d: %v", i, err)
 		}
@@ -286,7 +292,7 @@ func TestGeneralizedValidity(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	states, err := c.accs[0].Get(ctx)
+	states, _, err := c.accs[0].Get(ctx)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -311,7 +317,7 @@ func TestGeneralizedGetTimesOutWhenUnavailable(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	if _, err := c.accs[0].Get(ctx); err == nil {
+	if _, _, err := c.accs[0].Get(ctx); err == nil {
 		t.Fatal("Get completed without any available quorum")
 	}
 }
@@ -326,7 +332,7 @@ func TestGeneralizedStopReleasesBlockedCalls(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.accs[0].Get(context.Background())
+		_, _, err := c.accs[0].Get(context.Background())
 		errCh <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -340,7 +346,7 @@ func TestGeneralizedStopReleasesBlockedCalls(t *testing.T) {
 		t.Fatal("blocked Get not released by Stop")
 	}
 	// Subsequent calls fail fast.
-	if _, err := c.accs[0].Get(context.Background()); err != ErrStopped {
+	if _, _, err := c.accs[0].Get(context.Background()); err != ErrStopped {
 		t.Fatalf("Get after Stop = %v, want ErrStopped", err)
 	}
 	if err := c.accs[0].Set(context.Background(), enc(1)); err != ErrStopped {
@@ -391,7 +397,7 @@ func TestGeneralizedConcurrentMixedLoad(t *testing.T) {
 					t.Errorf("worker %d Set: %v", w, err)
 					return
 				}
-				if _, err := acc.Get(ctx); err != nil {
+				if _, _, err := acc.Get(ctx); err != nil {
 					t.Errorf("worker %d Get: %v", w, err)
 					return
 				}
@@ -434,7 +440,7 @@ func TestMetricsCount(t *testing.T) {
 	if err := g.Set(ctx, enc(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Get(ctx); err != nil {
+	if _, _, err := g.Get(ctx); err != nil {
 		t.Fatal(err)
 	}
 	m := g.Metrics()

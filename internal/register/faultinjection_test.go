@@ -21,8 +21,12 @@ import (
 // model allows channels to disconnect at any point in the execution, so the
 // protocol must tolerate losing connectivity mid-operation.
 func TestLinearizableUnderMidRunFailureInjection(t *testing.T) {
+	bothPropagations(t, testLinearizableUnderMidRunFailureInjection)
+}
+
+func testLinearizableUnderMidRunFailureInjection(t *testing.T, propagate bool) {
 	qs := quorum.Figure1()
-	c := newRegCluster(t, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
+	c := newRegClusterWith(t, propagate, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
 	defer c.stop()
 
 	f1 := qs.F.Patterns[0]
@@ -101,6 +105,10 @@ func TestRandomFailureSchedules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized schedules are slow")
 	}
+	bothPropagations(t, testRandomFailureSchedules)
+}
+
+func testRandomFailureSchedules(t *testing.T, propagate bool) {
 	qs := quorum.Figure1()
 	g := quorum.Network(4)
 	rng := rand.New(rand.NewSource(4242))
@@ -109,7 +117,7 @@ func TestRandomFailureSchedules(t *testing.T) {
 		f := qs.F.Patterns[pi]
 		uf := qs.Uf(g, f).Elems()
 
-		c := newRegCluster(t, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
+		c := newRegClusterWith(t, propagate, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
 		h := lincheck.NewHistory()
 		ctx := ctxSec(t, 60)
 
@@ -170,9 +178,13 @@ func TestRandomFailureSchedules(t *testing.T) {
 // wrong data. A write races the full f1 injection; whatever the outcome, a
 // subsequent read at U_f observes a consistent register.
 func TestOperationsAcrossPatternBoundary(t *testing.T) {
+	bothPropagations(t, testOperationsAcrossPatternBoundary)
+}
+
+func testOperationsAcrossPatternBoundary(t *testing.T, propagate bool) {
 	qs := quorum.Figure1()
 	for trial := 0; trial < 3; trial++ {
-		c := newRegCluster(t, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
+		c := newRegClusterWith(t, propagate, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
 		ctx := ctxSec(t, 60)
 
 		done := make(chan error, 1)

@@ -4,6 +4,45 @@
 // quorum's states (Get phase), then store back through a write quorum (Set
 // phase). The novelty is entirely inside the quorum access functions, which
 // make the protocol live on generalized quorum systems (Theorem 1).
+//
+// # Reads without write-back
+//
+// A read's Set phase (Figure 4, line 12) writes back the value it read only
+// so that every later operation sees a version at least as new. A read
+// skips it when the generalized access functions prove that this already
+// holds — the ABD fast read (Attiya, Bar-Noy, Dolev 1995; Dutta et al.,
+// PODC 2004), restated over Figure 3's clocks — so Figure 4's write-back
+// runs only when it is needed. The proof is made on the node loop at the
+// instant the read's quorum_get completes, over the state reports the
+// process holds: each is a state, the sender's clock when it sent it, and
+// the state's version ver, the sender's clock at its last applied update.
+// Let best be the largest state the get returns. The get reports it
+// installed iff
+//
+//   - some write quorum W0 has, for every member q, a held report with
+//     ver_q >= 0 whose state covers best (its version is at least best's),
+//     and
+//   - with m the largest ver_q over W0, some read quorum R* has, for every
+//     member, a held report with clock >= m.
+//
+// Otherwise the read writes back as Figure 4 says. Why skipping is safe:
+//
+//   - q's state covers best at every clock from ver_q on: clocks strictly
+//     increase on apply, ver_q is q's clock at its last apply, and states
+//     only grow.
+//   - Take any get that starts after the read returns, with cutoff write
+//     quorum W'. W' meets R*, whose members reached clock m before the
+//     read returned, and a process's clock never falls, so the cutoff is
+//     at least m, hence at least every ver_q.
+//   - Its read quorum R' reports clocks at or beyond that cutoff and meets
+//     W0, so some member of R' reports a state that covers best.
+//
+// That is the postcondition the write-back would have established
+// (Theorem 3's argument with c_set := m). Reports pushed by the
+// per-instance ticker (qaf.GeneralizedConfig without a Propagator) carry
+// no version (ver = -1) and never qualify, and the classical access
+// functions never report a result installed, so those reads always write
+// back. Writes always run their Set phase.
 package register
 
 import (
@@ -72,6 +111,25 @@ var _ qaf.StateMachine = (*stateMachine)(nil)
 
 func (s *stateMachine) Snapshot() []byte { return appendState(nil, s.cur) }
 
+// Covers implements qaf.StateMachine: a state holds every update another
+// holds when its version is at least the other's. Only the versions are
+// decoded; a state that does not decode covers nothing and is covered by
+// nothing.
+func (s *stateMachine) Covers(a, b []byte) bool {
+	va, errA := decodeVersion(a)
+	vb, errB := decodeVersion(b)
+	return errA == nil && errB == nil && !va.Less(vb)
+}
+
+// decodeVersion decodes the version of a state written by appendState,
+// skipping its value.
+func decodeVersion(b []byte) (Version, error) {
+	r := wire.NewReader(b)
+	r.Skip()
+	v := Version{Num: r.Uvarint(), Proc: r.Int()}
+	return v, r.Done()
+}
+
 func (s *stateMachine) Apply(update []byte) error {
 	u, err := decodeState(update)
 	if err != nil {
@@ -112,7 +170,9 @@ type Options struct {
 	// connectivity.
 	Classical bool
 	// Propagator optionally batches periodic state propagation with other
-	// accessors on the node (ignored for the classical baseline).
+	// accessors on the node (ignored for the classical baseline). Only its
+	// reports carry state versions, so only with it can a read skip its
+	// write-back (see the package doc).
 	Propagator *qaf.Propagator
 }
 
@@ -166,7 +226,7 @@ func maxVersion(states []State) State {
 // quorum. It returns the version assigned to the write.
 func (r *Register) Write(ctx context.Context, val string) (Version, error) {
 	// Get phase.
-	raw, err := r.acc.Get(ctx)
+	raw, _, err := r.acc.Get(ctx)
 	if err != nil {
 		return Version{}, fmt.Errorf("write get phase: %w", err)
 	}
@@ -200,11 +260,12 @@ func (r *Register) nextVersion(seen uint64) Version {
 
 // Read implements read() (Figure 4, lines 8-13): collect states from a read
 // quorum, pick the one with the largest version, write it back so any later
-// operation observes it, and return its value. It also returns the version
-// of the value read (useful for white-box linearizability checking).
+// operation observes it — unless the get proved it already installed (see
+// the package doc) — and return its value. It also returns the version of
+// the value read (useful for white-box linearizability checking).
 func (r *Register) Read(ctx context.Context) (string, Version, error) {
 	// Get phase.
-	raw, err := r.acc.Get(ctx)
+	raw, installed, err := r.acc.Get(ctx)
 	if err != nil {
 		return "", Version{}, fmt.Errorf("read get phase: %w", err)
 	}
@@ -214,9 +275,12 @@ func (r *Register) Read(ctx context.Context) (string, Version, error) {
 	}
 	// Line 10: s' = state with the largest version.
 	best := maxVersion(states)
-	// Set phase (line 12): write back before returning.
-	if err := r.acc.Set(ctx, appendState(nil, best)); err != nil {
-		return "", Version{}, fmt.Errorf("read set phase: %w", err)
+	// Set phase (line 12): write back before returning, unless best is
+	// already installed.
+	if !installed {
+		if err := r.acc.Set(ctx, appendState(nil, best)); err != nil {
+			return "", Version{}, fmt.Errorf("read set phase: %w", err)
+		}
 	}
 	return best.Val, best.Ver, nil
 }

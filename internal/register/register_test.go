@@ -10,6 +10,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/lincheck"
 	"repro/internal/node"
+	"repro/internal/qaf"
 	"repro/internal/quorum"
 	"repro/internal/transport"
 )
@@ -23,6 +24,7 @@ func fastDelay() transport.MemOption {
 type regCluster struct {
 	net   *transport.MemNetwork
 	nodes []*node.Node
+	props []*qaf.Propagator
 	regs  []*Register
 }
 
@@ -30,13 +32,27 @@ func (c *regCluster) stop() {
 	for _, r := range c.regs {
 		r.Stop()
 	}
+	for _, p := range c.props {
+		p.Stop()
+	}
 	for _, n := range c.nodes {
 		n.Stop()
 	}
 	c.net.Close()
 }
 
+// newRegCluster builds n register endpoints whose generalized access
+// functions push state through the per-instance ticker.
 func newRegCluster(t *testing.T, n int, opts Options, netOpts ...transport.MemOption) *regCluster {
+	t.Helper()
+	return newRegClusterWith(t, false, n, opts, netOpts...)
+}
+
+// newRegClusterWith is newRegCluster that, with propagate, gives every node
+// a delta propagator instead, as core.Open does. Only then do the held
+// state reports carry versions, so only then can a read skip its
+// write-back.
+func newRegClusterWith(t *testing.T, propagate bool, n int, opts Options, netOpts ...transport.MemOption) *regCluster {
 	t.Helper()
 	netOpts = append([]transport.MemOption{fastDelay(), transport.WithSeed(17)}, netOpts...)
 	c := &regCluster{net: transport.NewMem(n, netOpts...)}
@@ -46,9 +62,28 @@ func newRegCluster(t *testing.T, n int, opts Options, netOpts ...transport.MemOp
 	for i := 0; i < n; i++ {
 		nd := node.New(failure.Proc(i), c.net)
 		c.nodes = append(c.nodes, nd)
-		c.regs = append(c.regs, New(nd, opts))
+		o := opts
+		if propagate {
+			o.Propagator = qaf.NewPropagator(nd, opts.Tick)
+			c.props = append(c.props, o.Propagator)
+		}
+		c.regs = append(c.regs, New(nd, o))
 	}
 	return c
+}
+
+// bothPropagations runs a test body once per way the generalized access
+// functions propagate state: "ticker", where every read writes back, and
+// "propagator", where reads skip a write-back the held reports prove
+// redundant.
+func bothPropagations(t *testing.T, body func(t *testing.T, propagate bool)) {
+	for _, propagate := range []bool{false, true} {
+		name := "ticker"
+		if propagate {
+			name = "propagator"
+		}
+		t.Run(name, func(t *testing.T) { body(t, propagate) })
+	}
 }
 
 func ctxSec(t *testing.T, s int) context.Context {
@@ -69,10 +104,19 @@ func TestVersionOrdering(t *testing.T) {
 		{Version{1, 1}, Version{1, 0}, false},
 		{Version{1, 1}, Version{1, 1}, false},
 	}
+	sm := &stateMachine{}
 	for _, c := range cases {
 		if got := c.a.Less(c.b); got != c.want {
 			t.Errorf("%v.Less(%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
+		// A state covers another exactly when its version is not less.
+		a := appendState(nil, State{Val: "a value", Ver: c.a})
+		if got := sm.Covers(a, appendState(nil, State{Ver: c.b})); got != !c.want {
+			t.Errorf("state at %v covers state at %v = %v, want %v", c.a, c.b, got, !c.want)
+		}
+	}
+	if sm.Covers([]byte(`{garbage`), appendState(nil, State{})) {
+		t.Error("an undecodable state covers the initial state")
 	}
 	if (Version{3, 1}).String() != "(3, 1)" {
 		t.Error("Version.String broken")
@@ -175,9 +219,11 @@ func TestWaitFreedomWithinUf(t *testing.T) {
 // TestLinearizableUnderF1 runs a concurrent workload at U_f1 = {a, b} under
 // pattern f1 and verifies the recorded history with both the Wing-Gong
 // search checker and the Appendix-B versioned checker.
-func TestLinearizableUnderF1(t *testing.T) {
+func TestLinearizableUnderF1(t *testing.T) { bothPropagations(t, testLinearizableUnderF1) }
+
+func testLinearizableUnderF1(t *testing.T, propagate bool) {
 	qs := quorum.Figure1()
-	c := newRegCluster(t, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
+	c := newRegClusterWith(t, propagate, 4, Options{Reads: qs.Reads, Writes: qs.Writes})
 	defer c.stop()
 	c.net.ApplyPattern(qs.F.Patterns[0])
 
@@ -381,6 +427,69 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 	if m.Gets != 1 || m.Sets != 1 {
 		t.Fatalf("metrics = %+v, want one get and one set", m)
+	}
+}
+
+// TestReadWriteBack: a read writes back unless its Get proved the value
+// installed. Under delta propagation, once a write's state reports have
+// reached the reader, its reads skip the write-back and still return the
+// written value; over the per-instance ticker and the classical access
+// functions every read writes back.
+func TestReadWriteBack(t *testing.T) {
+	qs := quorum.Figure1()
+	for _, tc := range []struct {
+		name           string
+		propagate, cls bool
+	}{{"propagator", true, false}, {"ticker", false, false}, {"classical", false, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newRegClusterWith(t, tc.propagate, 4, Options{Reads: qs.Reads, Writes: qs.Writes, Classical: tc.cls})
+			defer c.stop()
+			ctx := ctxSec(t, 15)
+			v, err := c.regs[1].Write(ctx, "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// read reads at process 0 and reports whether it skipped the
+			// write-back. Each read either is proven installed or writes
+			// back, never both.
+			read := func() bool {
+				before, _ := c.regs[0].Metrics()
+				got, rv, err := c.regs[0].Read(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != "x" || rv != v {
+					t.Fatalf("read %q at %v, want x at %v", got, rv, v)
+				}
+				m, _ := c.regs[0].Metrics()
+				installed, sets := m.Installed-before.Installed, m.Sets-before.Sets
+				if installed+sets != 1 {
+					t.Fatalf("read: %d proven installed, %d written back; want exactly one", installed, sets)
+				}
+				return installed == 1
+			}
+			if !tc.propagate {
+				for i := 0; i < 5; i++ {
+					if read() {
+						t.Fatalf("read %d skipped its write-back", i)
+					}
+				}
+				return
+			}
+			// Reads may write back until the write's pushes reach process
+			// 0; from then on, with nothing new applied, none does.
+			for i := 0; !read(); i++ {
+				if i == 100 {
+					t.Fatal("no read proven installed after 100 reads")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			for i := 0; i < 5; i++ {
+				if !read() {
+					t.Fatalf("read %d after an installed one wrote back", i)
+				}
+			}
+		})
 	}
 }
 

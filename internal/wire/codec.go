@@ -157,6 +157,10 @@ func (r *Reader[S]) String() string {
 	return r.str[lo:hi]
 }
 
+// Skip reads past a length-prefixed string or byte slice without copying
+// it.
+func (r *Reader[S]) Skip() { r.span() }
+
 // Bytes reads a length-prefixed byte slice into a fresh copy; an empty one
 // reads as nil.
 func (r *Reader[S]) Bytes() []byte {

@@ -124,6 +124,10 @@ func TestCodecPrimitives(t *testing.T) {
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
+	r = NewReader(AppendVarint(AppendString(nil, "skipped"), 7))
+	if r.Skip(); r.Varint() != 7 || r.Done() != nil {
+		t.Fatal("Skip did not read past the string")
+	}
 	for _, c := range []struct {
 		name string
 		in   []byte
@@ -134,6 +138,7 @@ func TestCodecPrimitives(t *testing.T) {
 		{"count of 2-byte elements", []byte{2, 0, 0}, func(r *Reader[[]byte]) { r.Count(2) }},
 		{"uvarint past 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, func(r *Reader[[]byte]) { r.Uvarint() }},
 		{"uvarint unterminated", []byte{0x80}, func(r *Reader[[]byte]) { r.Uvarint() }},
+		{"skip past input", []byte{3, 0}, func(r *Reader[[]byte]) { r.Skip() }},
 	} {
 		r := NewReader(c.in)
 		c.read(&r)
